@@ -96,10 +96,11 @@ BENCHMARK(BM_ZipfSample);
 
 void BM_RouteDynamic(benchmark::State& state) {
   DynamicSecondaryHashing routing(512);
-  for (int i = 0; i < state.range(0); ++i) {
-    routing.mutable_rules()->Update(Micros(i * 1000), 1u << (1 + i % 6),
-                                    TenantId(i + 1));
-  }
+  routing.UpdateRules([&](RuleList* rules) {
+    for (int i = 0; i < state.range(0); ++i) {
+      rules->Update(Micros(i * 1000), 1u << (1 + i % 6), TenantId(i + 1));
+    }
+  });
   Rng rng(5);
   int64_t record = 0;
   for (auto _ : state) {

@@ -119,7 +119,7 @@ Result<std::unique_ptr<Esdb>> RecoverCluster(Esdb::Options options,
   if (!rules_bytes.empty() && db->dynamic_routing() != nullptr) {
     auto rules = RuleList::Decode(rules_bytes);
     if (!rules.ok()) return rules.status();
-    *db->dynamic_routing()->mutable_rules() = std::move(*rules);
+    db->dynamic_routing()->PublishRules(std::move(*rules));
   }
   return db;
 }

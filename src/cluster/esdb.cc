@@ -238,12 +238,17 @@ Result<std::string> Esdb::ExplainSql(std::string_view sql) {
     // Estimated vs actual cardinality — EXPLAIN here runs the query
     // (reads only) so misestimates are visible at a glance. A '+'
     // marks an early-terminated count (actual is a lower bound).
+    ExecStats stats;
     ESDB_ASSIGN_OR_RETURN(QueryResult result,
-                          ExecuteWithPlanner(query, options_.planner));
+                          RunQuery(query, options_.planner, &stats));
     out += "cardinality: est=" +
            std::to_string(int64_t(decision.estimated_rows + 0.5)) +
            " actual=" + std::to_string(result.total_matched) +
-           (result.total_matched_exact ? "" : "+") + "\n";
+           (result.total_matched_exact ? "" : "+");
+    if (!query.group_by.empty()) {
+      out += " group_lookups=" + std::to_string(stats.group_lookups);
+    }
+    out += "\n";
   }
   return out;
 }
@@ -319,6 +324,12 @@ Result<QueryResult> Esdb::ExecuteSqlWithPlanner(
 
 Result<QueryResult> Esdb::ExecuteWithPlanner(const Query& query,
                                              const PlannerOptions& planner) {
+  return RunQuery(query, planner, nullptr);
+}
+
+Result<QueryResult> Esdb::RunQuery(const Query& query,
+                                   const PlannerOptions& planner,
+                                   ExecStats* stats_out) {
   // Shard fan-out: tenant-scoped queries touch only the consecutive
   // run the routing policy names; others broadcast.
   std::vector<ShardId> target_shards;
@@ -336,6 +347,7 @@ Result<QueryResult> Esdb::ExecuteWithPlanner(const Query& query,
   // mutex on every exit, keeping concurrent client queries race-free.
   ExecStats exec_stats;
   const auto publish_stats = [&] {
+    if (stats_out != nullptr) *stats_out = exec_stats;
     MutexLock lock(&stats_mu_);
     last_subqueries_ = uint32_t(target_shards.size());
     last_stats_ = exec_stats;
@@ -488,11 +500,19 @@ size_t Esdb::RunBalanceCycle(Micros effective_time) {
     return 0;
   }
   const std::vector<RuleProposal> proposals =
-      balancer_.OnWindow(monitor_.Drain(), dynamic_->rules());
-  for (const RuleProposal& p : proposals) {
-    dynamic_->mutable_rules()->Update(effective_time, p.offset, p.tenant);
-  }
+      balancer_.OnWindow(monitor_.Drain(), *dynamic_->PinRules());
+  PublishProposals(effective_time, proposals);
   return proposals.size();
+}
+
+void Esdb::PublishProposals(Micros effective_time,
+                            const std::vector<RuleProposal>& proposals) {
+  if (proposals.empty()) return;
+  dynamic_->UpdateRules([&](RuleList* rules) {
+    for (const RuleProposal& p : proposals) {
+      rules->Update(effective_time, p.offset, p.tenant);
+    }
+  });
 }
 
 size_t Esdb::RunTieringCycle() {
@@ -554,9 +574,7 @@ size_t Esdb::InitializeRulesFromStorage(Micros effective_time) {
   }
   const std::vector<RuleProposal> proposals =
       balancer_.InitializeFromStorage(storage);
-  for (const RuleProposal& p : proposals) {
-    dynamic_->mutable_rules()->Update(effective_time, p.offset, p.tenant);
-  }
+  PublishProposals(effective_time, proposals);
   return proposals.size();
 }
 

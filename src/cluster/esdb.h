@@ -32,8 +32,13 @@ namespace esdb {
 // overlays — so queries are safe to issue from multiple threads
 // concurrently with each other, with refresh/merge maintenance
 // (RefreshAll), and with Apply/DML/balancing: a DELETE publishes a
-// new overlay epoch instead of mutating published state, so no
-// write/read phasing is required anywhere. Writes stay single-writer
+// new overlay epoch instead of mutating published state, and a
+// balancing cycle publishes a new secondary hashing rule list the
+// same way (DynamicSecondaryHashing::UpdateRules; routing matches
+// against a pinned list), so no write/read phasing is required
+// anywhere. Balancing cycles themselves (RunBalanceCycle,
+// InitializeRulesFromStorage) are driven from one maintenance thread
+// at a time. Writes stay single-writer
 // per shard (ShardStore's internal writer mutex); concurrent callers
 // of Apply targeting the same shard serialize there, nothing else.
 // With query_threads > 0 each query fans its per-shard subqueries out
@@ -60,9 +65,10 @@ class Esdb {
     // Aggregates and group-bys always run single-phase.
     bool two_phase_queries = true;
     // Vectorized batch execution (src/query/batch/): doc-value
-    // filtering, aggregation and sort-key resolution run batch-at-a-
-    // time over the frozen typed columns instead of row-at-a-time.
-    // Results are byte-identical to the row engine; off by default.
+    // filtering and sort-key resolution run batch-at-a-time over the
+    // frozen typed columns instead of row-at-a-time. Results are
+    // byte-identical to the row engine; off by default. Aggregates
+    // always run the one slot-based fold (batch::Aggregator).
     bool batch_execution = false;
     // Per-segment filter cache for repeated (cacheable) plans.
     bool use_filter_cache = true;
@@ -133,7 +139,9 @@ class Esdb {
 
   // EXPLAIN: the full front-end trace of a SELECT — parsed form,
   // normalized WHERE (Xdriver4ES CNF + predicate merge), the ES-DSL
-  // document, target shard fan-out, and the physical plan.
+  // document, target shard fan-out, and the physical plan. With the
+  // cost model on it also runs the query and prints estimated vs
+  // actual cardinality (plus group_lookups for a GROUP BY).
   [[nodiscard]] Result<std::string> ExplainSql(std::string_view sql);
 
   // SQL DML: UPDATE ... SET ... WHERE / DELETE FROM ... WHERE.
@@ -233,6 +241,14 @@ class Esdb {
  private:
   ShardStore* Primary(ShardId id);
   const ShardStore* Primary(ShardId id) const;
+  // ExecuteWithPlanner, also handing this query's executor counters
+  // to `stats_out` when non-null.
+  [[nodiscard]] Result<QueryResult> RunQuery(const Query& query,
+                                             const PlannerOptions& planner,
+                                             ExecStats* stats_out);
+  // Commits balancer proposals as one copy-on-write rule-list update.
+  void PublishProposals(Micros effective_time,
+                        const std::vector<RuleProposal>& proposals);
 
   // The cluster skeleton below is fixed at construction; the only
   // post-construction writes are the admin entry points (Set*Threads

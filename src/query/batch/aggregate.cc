@@ -1,19 +1,11 @@
 #include "query/batch/aggregate.h"
 
+#include <cmath>
+
 #include "query/executor.h"
 
 namespace esdb {
 namespace batch {
-
-BatchAggregator::BatchAggregator(const Query& query, const Segment& segment)
-    : query_(query) {
-  if (!query.group_by.empty()) {
-    group_source_ = SlotSource::Resolve(segment, query.group_by);
-  }
-  if (query.agg != AggFunc::kCount) {
-    agg_source_ = SlotSource::Resolve(segment, query.agg_column);
-  }
-}
 
 namespace {
 
@@ -26,10 +18,45 @@ void FoldMinMax(const TypedSlot& slot, std::optional<Value>* min,
 
 }  // namespace
 
-void BatchAggregator::Accumulate(DocId id, QueryResult* result) const {
+Aggregator::Aggregator(const Query& query, QueryResult* result,
+                       ExecStats* stats)
+    : query_(query), result_(result), stats_(stats) {}
+
+void Aggregator::BeginSegment(const Segment& segment) {
   if (!query_.group_by.empty()) {
-    const Value key = SlotToValue(group_source_.Read(id));
-    GroupStats& group = result->groups[key];
+    group_source_ = SlotSource::Resolve(segment, query_.group_by);
+  }
+  if (query_.agg != AggFunc::kCount) {
+    agg_source_ = SlotSource::Resolve(segment, query_.agg_column);
+  }
+}
+
+GroupStats* Aggregator::Lookup(const TypedSlot& key) {
+  ++stats_->group_lookups;
+  return &result_->groups[SlotToValue(key)];
+}
+
+GroupStats* Aggregator::Group(const TypedSlot& key) {
+  if (key.tag == SlotTag::kDouble) {
+    const double d = key.as_double();
+    if (std::isnan(d)) return Lookup(key);
+    if (!(std::fabs(d) < 0x1p53)) per_doc_lookups_ = true;
+  }
+  if (per_doc_lookups_) return Lookup(key);
+  if (key.tag == SlotTag::kString) {
+    const std::string& s = key.as_string();
+    auto it = strings_.find(std::string_view(s));
+    if (it == strings_.end()) it = strings_.emplace(s, Lookup(key)).first;
+    return it->second;
+  }
+  auto [it, inserted] = scalars_.try_emplace(key, nullptr);
+  if (inserted) it->second = Lookup(key);
+  return it->second;
+}
+
+void Aggregator::Add(DocId id) {
+  if (!query_.group_by.empty()) {
+    GroupStats& group = *Group(group_source_.Read(id));
     ++group.count;
     if (query_.agg != AggFunc::kCount) {
       const TypedSlot v = agg_source_.Read(id);
@@ -40,26 +67,27 @@ void BatchAggregator::Accumulate(DocId id, QueryResult* result) const {
     }
     return;
   }
-  ++result->agg_count;
+  ++result_->agg_count;
   if (query_.agg == AggFunc::kCount) return;
   const TypedSlot v = agg_source_.Read(id);
   if (v.is_nothing()) return;
-  // Mirrors the row engine's Accumulate: only the requested
-  // aggregate's accumulator is filled, so stats-only plans (which
-  // cannot reconstruct the incidental fields) stay indistinguishable.
+  // Only the requested aggregate's accumulator is filled: a stats-only
+  // answer (TryStatsOnly) can reproduce the requested extremum from
+  // index bounds but not the incidental ones, and results must be
+  // indistinguishable across plans.
   switch (query_.agg) {
     case AggFunc::kSum:
     case AggFunc::kAvg:
-      if (v.is_numeric()) result->agg_sum += v.NumericValue();
+      if (v.is_numeric()) result_->agg_sum += v.NumericValue();
       break;
     case AggFunc::kMin:
-      if (!result->agg_min || CompareSlotValue(v, *result->agg_min) < 0) {
-        result->agg_min = SlotToValue(v);
+      if (!result_->agg_min || CompareSlotValue(v, *result_->agg_min) < 0) {
+        result_->agg_min = SlotToValue(v);
       }
       break;
     case AggFunc::kMax:
-      if (!result->agg_max || CompareSlotValue(v, *result->agg_max) > 0) {
-        result->agg_max = SlotToValue(v);
+      if (!result_->agg_max || CompareSlotValue(v, *result_->agg_max) > 0) {
+        result_->agg_max = SlotToValue(v);
       }
       break;
     default:

@@ -319,50 +319,6 @@ void GroupStats::Merge(const GroupStats& other) {
 
 namespace {
 
-void Accumulate(const Query& query, const Segment& segment, DocId id,
-                QueryResult* result) {
-  if (!query.group_by.empty()) {
-    const Value key = ResolveFieldValue(segment, id, query.group_by);
-    GroupStats& group = result->groups[key];
-    ++group.count;
-    if (query.agg != AggFunc::kCount) {
-      const Value v = ResolveFieldValue(segment, id, query.agg_column);
-      if (!v.is_null()) {
-        if (v.is_numeric()) group.sum += v.NumericValue();
-        if (!group.min || v.Compare(*group.min) < 0) group.min = v;
-        if (!group.max || v.Compare(*group.max) > 0) group.max = v;
-      }
-    }
-    return;
-  }
-  ++result->agg_count;
-  if (query.agg == AggFunc::kCount) return;
-  const Value v = ResolveFieldValue(segment, id, query.agg_column);
-  if (v.is_null()) return;
-  // Only the requested aggregate's accumulator is filled: a stats-only
-  // answer (TryStatsOnly) can reproduce the requested extremum from
-  // index bounds but not the incidental ones, and results must be
-  // indistinguishable across plans.
-  switch (query.agg) {
-    case AggFunc::kSum:
-    case AggFunc::kAvg:
-      if (v.is_numeric()) result->agg_sum += v.NumericValue();
-      break;
-    case AggFunc::kMin:
-      if (!result->agg_min || v.Compare(*result->agg_min) < 0) {
-        result->agg_min = v;
-      }
-      break;
-    case AggFunc::kMax:
-      if (!result->agg_max || v.Compare(*result->agg_max) > 0) {
-        result->agg_max = v;
-      }
-      break;
-    default:
-      break;
-  }
-}
-
 Document Project(const Query& query, Document doc) {
   if (query.select_columns.empty()) return doc;
   Document out;
@@ -407,8 +363,9 @@ void SortRowsStableBounded(const Query& query, std::vector<Document>* rows,
 // (kStatsOnly fast path). Returns false when the segment must fall
 // back to the wrapped scan plan: any tombstone invalidates the
 // precomputed counts, and index-bound MIN/MAX needs the composite
-// index present. Merging follows Accumulate()'s exact rules (strict
-// Compare, segment order) so answers are byte-identical to scanning.
+// index present. Merging follows batch::Aggregator's exact rules
+// (strict Compare, segment order) so answers are byte-identical to
+// scanning.
 [[nodiscard]] Result<bool> TryStatsOnly(const Query& query,
                                         const PlanNode& plan,
                                         const SegmentView& view,
@@ -426,7 +383,7 @@ void SortRowsStableBounded(const Query& query, std::vector<Document>* rows,
       // A missing sketch means the column is absent (all nulls) in
       // this segment — scanning would contribute nothing either.
       if (sk != nullptr && sk->non_null > 0) {
-        // Only the requested extremum, matching Accumulate(); sum is
+        // Only the requested extremum, matching Aggregator; sum is
         // never stats-answered (cross-segment float addition order).
         if (query.agg == AggFunc::kMin) {
           if (!result->agg_min || sk->min.Compare(*result->agg_min) < 0) {
@@ -545,6 +502,11 @@ Result<QueryResult> ExecuteOnShard(
   const bool try_stats_only = plan.kind == PlanNode::Kind::kStatsOnly &&
                               aggregating && query.group_by.empty();
   const uint64_t pushdown_skips_before = stats->rows_skipped_by_pushdown;
+  // A bare full scan needs no candidate list on a tombstone-free
+  // segment: every doc id 0..n-1 is live and matches.
+  const bool bare_full_scan =
+      plan.kind == PlanNode::Kind::kFullScan && plan.filters.empty();
+  batch::Aggregator aggregator(query, &result, stats);
 
   for (const SegmentView& raw : snapshot) {
     ++stats->segments_visited;
@@ -559,22 +521,24 @@ Result<QueryResult> ExecuteOnShard(
                             TryStatsOnly(query, plan, view, &result, stats));
       if (answered) continue;
     }
+    if (aggregating) {
+      aggregator.BeginSegment(*view);
+      if (bare_full_scan && view.num_deleted() == 0) {
+        const DocId n = DocId(view.num_docs());
+        stats->postings_considered += n;
+        result.total_matched += n;
+        for (DocId id = 0; id < n; ++id) aggregator.Add(id);
+        continue;
+      }
+    }
     ESDB_ASSIGN_OR_RETURN(PostingList candidates,
                           EvalPlanCached(plan, view, stats, cache,
                                          cache_domain, fingerprint, opts));
-    // Batch mode hoists the group-by / aggregate column resolution to
-    // once per segment; the row path redoes it per doc.
-    std::optional<batch::BatchAggregator> batch_agg;
-    if (aggregating && opts.batch_execution) batch_agg.emplace(query, *view);
     for (DocId id : candidates.ids()) {
       if (view.IsDeleted(id)) continue;
       ++result.total_matched;
       if (aggregating) {
-        if (batch_agg.has_value()) {
-          batch_agg->Accumulate(id, &result);
-        } else {
-          Accumulate(query, *view, id, &result);
-        }
+        aggregator.Add(id);
         continue;
       }
       ESDB_ASSIGN_OR_RETURN(Document doc, view.GetDocument(id));

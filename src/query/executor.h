@@ -57,9 +57,10 @@ struct QueryResult {
 
 // Per-query execution switches, plumbed down from Esdb::Options.
 struct ExecOptions {
-  // Route doc-value filtering, aggregation and sort-key resolution
-  // through the vectorized batch engine (src/query/batch/). Results
-  // are byte-identical to the row engine either way.
+  // Route doc-value filtering and sort-key resolution through the
+  // vectorized batch engine (src/query/batch/). Results are byte-
+  // identical to the row engine either way. Aggregates have one
+  // implementation (batch::Aggregator) whatever this flag says.
   bool batch_execution = false;
 };
 
@@ -83,6 +84,11 @@ struct ExecStats {
   uint64_t stats_only_answers = 0;  // segments answered from stats/index
                                     // bounds without touching postings
 
+  // Lookups into QueryResult::groups: one per distinct group-key slot
+  // per shard, plus one per doc whose key skips the group table (see
+  // batch::Aggregator).
+  uint64_t group_lookups = 0;
+
   // Fraction of doc-value-scanned candidates that survived filtering;
   // 0 when nothing was batch-filtered.
   double Selectivity() const {
@@ -102,6 +108,7 @@ struct ExecStats {
     plans_costed += other.plans_costed;
     rows_skipped_by_pushdown += other.rows_skipped_by_pushdown;
     stats_only_answers += other.stats_only_answers;
+    group_lookups += other.group_lookups;
   }
 };
 

@@ -51,17 +51,38 @@ std::vector<ShardId> DoubleHashRouting::RouteRead(TenantId tenant) const {
   return ConsecutiveShards(tenant, offset_, num_shards_);
 }
 
+std::shared_ptr<const RuleList> DynamicSecondaryHashing::PinRules() const {
+  MutexLock lock(&rules_mu_);
+  return rules_;
+}
+
+void DynamicSecondaryHashing::UpdateRules(
+    const std::function<void(RuleList*)>& mutate) {
+  MutexLock update(&update_mu_);
+  auto next = std::make_shared<RuleList>(*PinRules());
+  mutate(next.get());
+  MutexLock lock(&rules_mu_);
+  rules_ = std::move(next);
+}
+
+void DynamicSecondaryHashing::PublishRules(RuleList next) {
+  auto published = std::make_shared<const RuleList>(std::move(next));
+  MutexLock update(&update_mu_);
+  MutexLock lock(&rules_mu_);
+  rules_ = std::move(published);
+}
+
 ShardId DynamicSecondaryHashing::RouteWrite(const RouteKey& key) const {
   // Equation 2: p = (h1(k1) + h2(k2) mod L(k1)) mod N, with L(k1)
   // resolved against the rule matching the record's creation time.
-  const uint32_t s = rules_.MatchWrite(key.tenant, key.created_time);
+  const uint32_t s = OffsetFor(key.tenant, key.created_time);
   return ShardId((RouteHash1(key.tenant) + RouteHash2(key.record) % s) %
                  num_shards_);
 }
 
 std::vector<ShardId> DynamicSecondaryHashing::RouteRead(
     TenantId tenant) const {
-  uint32_t s = rules_.MaxOffset(tenant);
+  uint32_t s = PinRules()->MaxOffset(tenant);
   if (s > num_shards_) s = num_shards_;
   return ConsecutiveShards(tenant, s, num_shards_);
 }

@@ -2,12 +2,14 @@
 #define ESDB_ROUTING_ROUTER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/hash.h"
+#include "common/mutex.h"
 #include "routing/rule_list.h"
 
 namespace esdb {
@@ -94,20 +96,36 @@ class DynamicSecondaryHashing : public RoutingPolicy {
   uint32_t num_shards() const override { return num_shards_; }
   std::string name() const override { return "dynamic_secondary_hashing"; }
 
-  // The committed rule list. The cluster's consensus layer replaces
-  // it atomically after each commit; local experiments mutate it
-  // directly.
-  const RuleList& rules() const { return rules_; }
-  RuleList* mutable_rules() { return &rules_; }
+  // The committed rule list, published copy-on-write: an update
+  // builds the next list privately and swaps it in, so routing calls
+  // concurrent with a balancing cycle match against a pinned, never-
+  // mutated list.
+  std::shared_ptr<const RuleList> PinRules() const EXCLUDES(rules_mu_);
+  // A copy of the current list (introspection, persistence).
+  RuleList rules() const { return *PinRules(); }
+
+  // Applies `mutate` to a copy of the current list and publishes the
+  // result. Updaters serialize among themselves; readers never wait
+  // for the copy.
+  void UpdateRules(const std::function<void(RuleList*)>& mutate)
+      EXCLUDES(update_mu_);
+  // Replaces the list wholesale (consensus commit, checkpoint restore).
+  void PublishRules(RuleList next) EXCLUDES(update_mu_);
 
   // Current L(k1) for a write at `created_time`.
   uint32_t OffsetFor(TenantId tenant, Micros created_time) const {
-    return rules_.MatchWrite(tenant, created_time);
+    return PinRules()->MatchWrite(tenant, created_time);
   }
 
  private:
-  uint32_t num_shards_;
-  RuleList rules_;
+  uint32_t num_shards_;  // lint:unguarded(fixed at construction)
+  // Same discipline as ShardStore's segment epochs: update_mu_
+  // serializes read-copy-update cycles; rules_mu_ guards only the
+  // pointer swap and copy, and nothing is acquired under it.
+  Mutex update_mu_;
+  mutable Mutex rules_mu_ ACQUIRED_AFTER(update_mu_);
+  std::shared_ptr<const RuleList> rules_ GUARDED_BY(rules_mu_) =
+      std::make_shared<const RuleList>();
 };
 
 }  // namespace esdb

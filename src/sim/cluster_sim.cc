@@ -5,11 +5,6 @@
 
 namespace esdb {
 
-namespace {
-// One static rule list for non-dynamic policies' coordinator view.
-const RuleList kEmptyRules;
-}  // namespace
-
 std::vector<double> ClusterSim::Metrics::NodeThroughputs() const {
   std::vector<double> out(node_completed.size());
   if (measured_time <= 0) return out;
@@ -117,8 +112,8 @@ ClusterSim::ClusterSim(Options options)
   next_sample_end_ = options_.sample_period;
 }
 
-const RuleList& ClusterSim::coordinator_rules() const {
-  return dynamic_ != nullptr ? dynamic_->rules() : kEmptyRules;
+RuleList ClusterSim::coordinator_rules() const {
+  return dynamic_ != nullptr ? dynamic_->rules() : RuleList();
 }
 
 size_t ClusterSim::backlog() const {
@@ -523,7 +518,7 @@ void ClusterSim::ControlLoop() {
   }
 
   // Coordinators route with their participant's committed rule list.
-  *dynamic_->mutable_rules() = participants_[0]->rules();
+  dynamic_->PublishRules(participants_[0]->rules());
 }
 
 void ClusterSim::MigrationLoop() {

@@ -171,7 +171,7 @@ class ClusterSim {
 
   const Metrics& metrics() const { return metrics_; }
   Micros now() const { return clock_.Now(); }
-  const RuleList& committed_rules() const { return coordinator_rules(); }
+  RuleList committed_rules() const { return coordinator_rules(); }
   size_t backlog() const;  // docs currently queued
   // Queue-entry count across all node/client queues — the
   // bounded-memory proxy for the 10k-shard scenario tests.
@@ -226,7 +226,7 @@ class ClusterSim {
     double busy_seconds = 0;
   };
 
-  const RuleList& coordinator_rules() const;
+  RuleList coordinator_rules() const;
   // Placement tables (initialized to the historical modulo layout;
   // rewritten by FailNode and migration cutover).
   uint32_t PrimaryNode(uint32_t shard) const { return shard_primary_[shard]; }

@@ -62,8 +62,8 @@ ColumnStats ColumnStats::Build(const DocValues& dv) {
         ++sk.numeric_count;
         sk.sum += v.NumericValue();
       }
-      // Same strict-compare rule as Accumulate(): the first doc-order
-      // occurrence of a compare-equal extremum is kept.
+      // Same strict-compare rule as the executor's aggregate fold: the
+      // first doc-order occurrence of a compare-equal extremum is kept.
       if (sk.min.is_null() || v.Compare(sk.min) < 0) sk.min = v;
       if (sk.max.is_null() || v.Compare(sk.max) > 0) sk.max = v;
       encoded.push_back(v.EncodeSortable());

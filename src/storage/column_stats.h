@@ -21,7 +21,7 @@ class DocValues;
 // access paths and to answer MIN/MAX/COUNT without touching postings.
 //
 // min/max are maintained with the same strict-Compare, doc-order rule
-// as the executor's Accumulate(), so a stats-only MIN/MAX answer is
+// as the executor's aggregate fold, so a stats-only MIN/MAX answer is
 // byte-identical to the scanning plan's (first doc-order occurrence
 // wins among compare-equal values). `sum` is the doc-order double sum
 // WITHIN this segment; cross-segment addition order differs from a

@@ -158,7 +158,7 @@ TEST_F(DistributedTest, GracefulRemoveKeepsData) {
 TEST_F(DistributedTest, RebalanceDuringFailures) {
   // Dynamic secondary hashing rules + failures interleaved: the
   // read-your-writes invariant must survive both.
-  db_->dynamic_routing()->mutable_rules()->Update(1000, 8, 1);
+  db_->dynamic_routing()->UpdateRules([](RuleList* r) { r->Update(1000, 8, 1); });
   for (int64_t i = 300; i < 380; ++i) {
     ASSERT_TRUE(db_->Insert(MakeLog(1, i, 1000 + i)).ok());
   }

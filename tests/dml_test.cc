@@ -110,7 +110,7 @@ TEST_F(DmlExecTest, UpdateSetsColumns) {
 TEST_F(DmlExecTest, UpdateAfterRebalanceFindsOriginalShard) {
   // Commit a rule splitting tenant 1 in the future, write more docs
   // under the new rule, then a DML touching BOTH generations.
-  db_->dynamic_routing()->mutable_rules()->Update(1000, 8, 1);
+  db_->dynamic_routing()->UpdateRules([](RuleList* r) { r->Update(1000, 8, 1); });
   for (int64_t i = 100; i < 140; ++i) {
     Document doc;
     doc.Set(kFieldTenantId, Value(int64_t(1)));
@@ -147,7 +147,7 @@ TEST_F(DmlExecTest, UpdateChangingTenantIdMovesRowsWithoutDuplicates) {
 TEST_F(DmlExecTest, UpdateChangingCreatedTimeAcrossRuleBoundary) {
   // Rule splits tenant 1 at t=1000: records re-dated past the
   // boundary route to a different shard run than their originals.
-  db_->dynamic_routing()->mutable_rules()->Update(1000, 8, 1);
+  db_->dynamic_routing()->UpdateRules([](RuleList* r) { r->Update(1000, 8, 1); });
   const uint64_t total_before = db_->TotalDocs();
   auto affected = db_->ExecuteDmlSql(
       "UPDATE t SET created_time = 2000 WHERE tenant_id = 1");

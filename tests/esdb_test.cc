@@ -265,7 +265,7 @@ TEST(WriteClientTest, BatchingDisabledAppliesEverything) {
 TEST(WriteClientTest, HotspotIsolationSeparatesQueues) {
   Esdb db(SmallCluster(RoutingKind::kDynamic));
   // Make tenant 9 hot via a committed rule.
-  db.dynamic_routing()->mutable_rules()->Update(0, 8, 9);
+  db.dynamic_routing()->UpdateRules([](RuleList* r) { r->Update(0, 8, 9); });
   WriteClient::Options wopts;
   wopts.batch_size = 1000;
   WriteClient client(&db, wopts);

@@ -85,7 +85,7 @@ TEST(ExplainTest, ShowsFrontEndTrace) {
   options.routing = RoutingKind::kDynamic;
   options.store.refresh_doc_count = 0;
   Esdb db(std::move(options));
-  db.dynamic_routing()->mutable_rules()->Update(0, 4, 7);
+  db.dynamic_routing()->UpdateRules([](RuleList* r) { r->Update(0, 4, 7); });
 
   auto explained = db.ExplainSql(
       "SELECT * FROM t WHERE tenant_id = 7 AND created_time >= 1 AND "

@@ -263,7 +263,7 @@ TEST_F(ClusterPersistenceTest, SaveOpenRoundTripWithRules) {
   options.store.refresh_doc_count = 0;
   Esdb db(options);
   // Rule-split tenant 5, then write under both regimes.
-  db.dynamic_routing()->mutable_rules()->Update(100, 4, 5);
+  db.dynamic_routing()->UpdateRules([](RuleList* r) { r->Update(100, 4, 5); });
   for (int64_t i = 0; i < 120; ++i) {
     Document doc;
     doc.Set(kFieldTenantId, Value(int64_t(i % 2 == 0 ? 5 : 1 + i % 4)));

@@ -2,7 +2,8 @@
 // maintenance thread hammers RefreshAll (refresh + merge, optionally
 // fanned out over the maintenance pool) while client threads query.
 // Every query must observe a consistent per-shard epoch — a row count
-// bracketed by refresh boundaries, never a torn segment list. Run
+// bracketed by refresh boundaries, never a torn segment list. The
+// balancing case does the same for copy-on-write rule lists. Run
 // under TSan in CI.
 
 #include <gtest/gtest.h>
@@ -194,6 +195,110 @@ TEST(RefreshConcurrencyTest, ParallelRefreshMatchesSerial) {
   for (size_t i = 0; i < a->rows.size(); ++i) {
     EXPECT_EQ(a->rows[i], b->rows[i]) << "row " << i;
   }
+}
+
+// Balancing concurrent with writes and queries: one thread runs
+// RunBalanceCycle, committing new secondary hashing rules for the hot
+// tenant, while a writer inserts a skewed stream and readers route
+// tenant-scoped and broadcast queries. Rule lists are published
+// copy-on-write, so routing never reads a list being updated, and a
+// tenant-scoped count covers every write published before it began.
+TEST(RefreshConcurrencyTest, BalanceCycleVsWritesAndQueries) {
+  Esdb::Options options = HammerOptions(/*query_threads=*/2,
+                                        /*maintenance_threads=*/0);
+  options.routing = RoutingKind::kDynamic;
+  options.balancer.target_share_per_shard = 0.05;
+  options.balancer.max_offset = 8;
+  Esdb db(options);
+
+  constexpr int kRounds = 12;
+  constexpr int kBatch = 240;
+  const auto tenant_of = [](int64_t id) -> int64_t {
+    return id % 10 < 7 ? 1 : 2 + id % 19;  // tenant 1 takes 70%
+  };
+
+  std::atomic<int64_t> next_created{0};       // balancer's effective time
+  std::atomic<uint64_t> hot_published{0};     // tenant 1, refreshed
+  std::atomic<uint64_t> total_inserted{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> violations{0};
+  std::atomic<int> failures{0};
+  std::atomic<size_t> rules_committed{0};
+
+  std::thread writer([&] {
+    int64_t next_id = 0;
+    uint64_t hot = 0;
+    for (int round = 0; round < kRounds; ++round) {
+      for (int i = 0; i < kBatch; ++i) {
+        Document doc = MakeDoc(next_id);
+        doc.Set(kFieldTenantId, Value(tenant_of(next_id)));
+        if (tenant_of(next_id) == 1) ++hot;
+        next_created.store(++next_id, std::memory_order_release);
+        if (!db.Insert(std::move(doc)).ok()) failures.fetch_add(1);
+      }
+      total_inserted.store(uint64_t(next_id), std::memory_order_release);
+      db.RefreshAll();
+      hot_published.store(hot, std::memory_order_release);
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  std::thread balancer([&] {
+    int64_t last_cycle = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const int64_t created = next_created.load(std::memory_order_acquire);
+      // Windows below the balancer's minimum sample propose nothing.
+      if (created - last_cycle < 200) {
+        std::this_thread::yield();
+        continue;
+      }
+      last_cycle = created;
+      // Rules take effect after every record created so far.
+      rules_committed.fetch_add(db.RunBalanceCycle(Micros(created + 1)));
+    }
+  });
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        const uint64_t low = hot_published.load(std::memory_order_acquire);
+        auto hot = db.ExecuteSql("SELECT COUNT(*) FROM t WHERE tenant_id = 1");
+        if (!hot.ok()) {
+          failures.fetch_add(1);
+        } else if (hot->agg_count < low) {
+          violations.fetch_add(1);
+        }
+        auto groups = db.ExecuteSql(
+            "SELECT status, COUNT(*) FROM t GROUP BY status");
+        if (!groups.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        uint64_t grouped = 0;
+        for (const auto& [key, group] : groups->groups) grouped += group.count;
+        if (grouped > total_inserted.load(std::memory_order_acquire)) {
+          violations.fetch_add(1);
+        }
+      }
+    });
+  }
+
+  writer.join();
+  balancer.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(violations.load(), 0);
+  // The hot tenant was spread while the load ran...
+  EXPECT_GT(rules_committed.load(), 0u);
+  EXPECT_GT(db.dynamic_routing()->rules().MaxOffset(1), 1u);
+  // ...and its read fan-out still finds every one of its records.
+  auto hot = db.ExecuteSql("SELECT COUNT(*) FROM t WHERE tenant_id = 1");
+  ASSERT_TRUE(hot.ok());
+  EXPECT_EQ(hot->agg_count, hot_published.load());
+  auto all = db.ExecuteSql("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->agg_count, uint64_t(kRounds * kBatch));
 }
 
 // DistributedEsdb::RefreshAll fans out the refresh+replication rounds

@@ -118,7 +118,7 @@ TEST(DynamicRoutingTest, DefaultsToSingleShard) {
 
 TEST(DynamicRoutingTest, RuleExtendsShardRun) {
   DynamicSecondaryHashing routing(64);
-  routing.mutable_rules()->Update(1000, 8, 5);
+  routing.UpdateRules([](RuleList* r) { r->Update(1000, 8, 5); });
   // Writes created before the effective time keep the old placement.
   std::set<ShardId> before;
   for (int64_t record = 0; record < 200; ++record) {
@@ -150,8 +150,9 @@ TEST(DynamicRoutingProperty, ReadsCoverAllWrites) {
         // Commit a rule for a random tenant with a power-of-two s.
         const TenantId tenant = TenantId(1 + rng.Uniform(5));
         const uint32_t s = 1u << (1 + rng.Uniform(5));  // 2..32
-        routing.mutable_rules()->Update(now + Micros(rng.Uniform(50)), s,
-                                        tenant);
+        const Micros effective = now + Micros(rng.Uniform(50));
+        routing.UpdateRules(
+            [&](RuleList* r) { r->Update(effective, s, tenant); });
       }
       const RouteKey key{TenantId(1 + rng.Uniform(5)),
                          RecordId(step + trial * 1000), now};
@@ -172,7 +173,7 @@ TEST(DynamicRoutingProperty, ReadsCoverAllWrites) {
 
 TEST(DynamicRoutingTest, ReadFanoutClampedToNumShards) {
   DynamicSecondaryHashing routing(8);
-  routing.mutable_rules()->Update(0, 64, 3);
+  routing.UpdateRules([](RuleList* r) { r->Update(0, 64, 3); });
   EXPECT_EQ(routing.RouteRead(3).size(), 8u);
 }
 
@@ -182,7 +183,7 @@ TEST(RoutingTest, EquationOneMatchesEquationTwoWithStaticRules) {
   const uint32_t kN = 64, kS = 8;
   DoubleHashRouting dh(kN, kS);
   DynamicSecondaryHashing dyn(kN);
-  dyn.mutable_rules()->Update(0, kS, 11);
+  dyn.UpdateRules([&](RuleList* r) { r->Update(0, kS, 11); });
   for (int64_t record = 0; record < 500; ++record) {
     const RouteKey key{11, record, 100};
     EXPECT_EQ(dh.RouteWrite(key), dyn.RouteWrite(key));
