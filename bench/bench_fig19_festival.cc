@@ -187,6 +187,11 @@ bool EngineIdentity(const BenchConfig& cfg, uint64_t* cutovers) {
   }
   queries.push_back("SELECT MIN(created_time) FROM t WHERE tenant_id = 7");
   queries.push_back("SELECT MAX(created_time) FROM t WHERE tenant_id = 7");
+  // A GROUP BY and a two-phase row query (row refs merged across the
+  // hot tenant's shards, winners fetched) over the migrated shards.
+  queries.push_back("SELECT status, COUNT(*) FROM t GROUP BY status");
+  queries.push_back(
+      "SELECT * FROM t WHERE tenant_id = 7 ORDER BY record_id DESC LIMIT 20");
   for (const std::string& sql : queries) {
     auto a = migrating.ExecuteSql(sql);
     auto b = still.ExecuteSql(sql);
@@ -196,6 +201,14 @@ bool EngineIdentity(const BenchConfig& cfg, uint64_t* cutovers) {
     if (a->agg_max.has_value() != b->agg_max.has_value()) return false;
     if (a->agg_min && !(*a->agg_min == *b->agg_min)) return false;
     if (a->agg_max && !(*a->agg_max == *b->agg_max)) return false;
+    if (!(a->rows == b->rows)) return false;
+    if (a->groups.size() != b->groups.size()) return false;
+    for (auto ia = a->groups.begin(), ib = b->groups.begin();
+         ia != a->groups.end(); ++ia, ++ib) {
+      if (!(ia->first == ib->first) || ia->second.count != ib->second.count) {
+        return false;
+      }
+    }
   }
   return true;
 }

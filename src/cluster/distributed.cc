@@ -3,56 +3,22 @@
 #include <algorithm>
 #include <chrono>
 
-#include "query/normalize.h"
 #include "query/parser.h"
 
 namespace esdb {
 
-namespace {
-
-// Shared with cluster/esdb.cc in spirit: finds the tenant equality
-// that scopes the query to a shard run.
-bool ExtractTenantId(const Expr& e, TenantId* out) {
-  if (e.kind == Expr::Kind::kPred) {
-    const Predicate& p = e.pred;
-    if (p.column == kFieldTenantId && p.op == PredOp::kEq &&
-        p.args.size() == 1 && p.args[0].is_int()) {
-      *out = p.args[0].as_int();
-      return true;
-    }
-    return false;
-  }
-  if (e.kind == Expr::Kind::kAnd) {
-    for (const auto& c : e.children) {
-      if (ExtractTenantId(*c, out)) return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 DistributedEsdb::DistributedEsdb(Options options)
     : options_(std::move(options)),
       allocator_(options_.num_shards),
+      routing_(MakeRoutingPolicy(options_.routing, options_.num_shards,
+                                 options_.double_hash_offset)),
+      dynamic_(dynamic_cast<DynamicSecondaryHashing*>(routing_.get())),
+      coordinator_(&options_.spec, routing_.get(), /*two_phase=*/true,
+                   [this](ShardId s) {
+                     return ShardAt(s)->primary()->Snapshot();
+                   }),
       heat_(options_.num_shards, options_.heat),
       planner_(options_.migration_planner) {
-  switch (options_.routing) {
-    case RoutingKind::kHash:
-      routing_ = std::make_unique<HashRouting>(options_.num_shards);
-      break;
-    case RoutingKind::kDoubleHash:
-      routing_ = std::make_unique<DoubleHashRouting>(
-          options_.num_shards, options_.double_hash_offset);
-      break;
-    case RoutingKind::kDynamic: {
-      auto dynamic =
-          std::make_unique<DynamicSecondaryHashing>(options_.num_shards);
-      dynamic_ = dynamic.get();
-      routing_ = std::move(dynamic);
-      break;
-    }
-  }
   shards_.reserve(options_.num_shards);
   for (uint32_t i = 0; i < options_.num_shards; ++i) {
     shards_.push_back(std::make_shared<ReplicatedShard>(
@@ -203,10 +169,6 @@ Status DistributedEsdb::Apply(const WriteOp& op) {
   return seq.ok() ? Status::OK() : seq.status();
 }
 
-Status DistributedEsdb::Insert(Document doc) {
-  return Apply(WriteOp{OpType::kInsert, std::move(doc)});
-}
-
 void DistributedEsdb::RefreshAll() {
   // One refresh+replication round per shard; shards are independent,
   // so the rounds run as pool tasks when maintenance_threads > 0.
@@ -222,36 +184,20 @@ void DistributedEsdb::RefreshAll() {
 Result<QueryResult> DistributedEsdb::ExecuteSql(std::string_view sql) {
   ESDB_RETURN_IF_ERROR(CheckReady());
   ESDB_ASSIGN_OR_RETURN(Query query, ParseSql(sql));
+  return coordinator_.Execute(query, {options_.planner});
+}
 
-  std::vector<ShardId> targets;
-  TenantId tenant = 0;
-  if (query.where != nullptr && ExtractTenantId(*query.where, &tenant)) {
-    targets = routing_->RouteRead(tenant);
-  } else {
-    targets.resize(options_.num_shards);
-    for (uint32_t i = 0; i < options_.num_shards; ++i) targets[i] = i;
-  }
+Result<std::string> DistributedEsdb::ExplainSql(std::string_view sql) {
+  ESDB_RETURN_IF_ERROR(CheckReady());
+  return coordinator_.Explain(sql, {options_.planner});
+}
 
-  std::unique_ptr<Expr> normalized;
-  if (query.where != nullptr) {
-    normalized = NormalizeForPlanning(query.where->Clone());
-  }
-  const std::unique_ptr<PlanNode> plan =
-      PlanWhere(normalized.get(), options_.spec, options_.planner);
-
-  ExecStats stats;
-  std::vector<QueryResult> shard_results;
-  shard_results.reserve(targets.size());
-  for (ShardId shard : targets) {
-    // The shared_ptr copy pins the shard across a concurrent cutover
-    // swap; its snapshot pins the segment epoch as usual.
-    const std::shared_ptr<ReplicatedShard> s = ShardAt(shard);
-    ESDB_ASSIGN_OR_RETURN(
-        QueryResult r,
-        ExecuteOnShard(query, *plan, *s->primary()->Snapshot(), &stats));
-    shard_results.push_back(std::move(r));
-  }
-  return AggregateResults(query, std::move(shard_results));
+Result<uint64_t> DistributedEsdb::ExecuteDmlSql(std::string_view sql) {
+  ESDB_RETURN_IF_ERROR(CheckReady());
+  ESDB_ASSIGN_OR_RETURN(DmlStatement statement, ParseDml(sql));
+  return coordinator_.ExecuteDml(
+      statement, {options_.planner},
+      [this](const WriteOp& op) { return Apply(op); });
 }
 
 Status DistributedEsdb::StartMigration(ShardId shard, NodeId to) {

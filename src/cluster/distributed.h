@@ -10,6 +10,7 @@
 
 #include "balancer/shard_heat.h"
 #include "cluster/migration.h"
+#include "cluster/query_coordinator.h"
 #include "cluster/shard_allocator.h"
 #include "common/mutex.h"
 #include "common/result.h"
@@ -82,7 +83,9 @@ class DistributedEsdb : public MigrationHost {
   // --- Data path ---------------------------------------------------------
 
   [[nodiscard]] Status Apply(const WriteOp& op);
-  [[nodiscard]] Status Insert(Document doc);
+  [[nodiscard]] Status Insert(Document doc) {
+    return Apply(WriteOp{OpType::kInsert, std::move(doc)});
+  }
   void RefreshAll();
 
   // Resizes the refresh/replication pool (0 = serial). Same swap
@@ -92,7 +95,11 @@ class DistributedEsdb : public MigrationHost {
   void SetMaintenanceThreads(uint32_t n);
   uint32_t maintenance_threads() const { return options_.maintenance_threads; }
 
+  // SQL through the same query coordinator as Esdb. DML writes go
+  // through Apply, and so through the migrator.
   [[nodiscard]] Result<QueryResult> ExecuteSql(std::string_view sql);
+  [[nodiscard]] Result<std::string> ExplainSql(std::string_view sql);
+  [[nodiscard]] Result<uint64_t> ExecuteDmlSql(std::string_view sql);
 
   // --- Live shard migration ---------------------------------------------
 
@@ -148,6 +155,9 @@ class DistributedEsdb : public MigrationHost {
   ShardAllocator allocator_;  // lint:unguarded(membership ops are externally serialized)
   std::unique_ptr<RoutingPolicy> routing_;  // lint:unguarded(fixed at construction)
   DynamicSecondaryHashing* dynamic_ = nullptr;  // lint:unguarded(fixed at construction; owned by routing_)
+  // Lent no pool (no query-pool knob) and no filter cache: failover
+  // and cutover rebind shard ids, and the cache keys on shard id.
+  QueryCoordinator coordinator_;  // lint:unguarded(bindings fixed at construction; internally synchronized)
   // Shard table: shape fixed at construction, but elements are
   // REBOUND by failover and migration cutover while queries/writes
   // run, so every read copies the shared_ptr under this tiny mutex.

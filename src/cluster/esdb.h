@@ -8,6 +8,7 @@
 
 #include "balancer/load_balancer.h"
 #include "balancer/monitor.h"
+#include "cluster/query_coordinator.h"
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
@@ -134,31 +135,19 @@ class Esdb {
   // optimizer on/off experiments; Figure 17).
   [[nodiscard]] Result<QueryResult> ExecuteSqlWithPlanner(std::string_view sql,
                                             const PlannerOptions& planner);
-  [[nodiscard]] Result<QueryResult> ExecuteWithPlanner(const Query& query,
-                                         const PlannerOptions& planner);
 
-  // EXPLAIN: the full front-end trace of a SELECT — parsed form,
-  // normalized WHERE (Xdriver4ES CNF + predicate merge), the ES-DSL
-  // document, target shard fan-out, and the physical plan. With the
-  // cost model on it also runs the query and prints estimated vs
-  // actual cardinality (plus group_lookups for a GROUP BY).
+  // EXPLAIN and SQL DML: see QueryCoordinator::Explain / ExecuteDml.
   [[nodiscard]] Result<std::string> ExplainSql(std::string_view sql);
-
-  // SQL DML: UPDATE ... SET ... WHERE / DELETE FROM ... WHERE.
-  // Selects the affected rows through the query path, then routes one
-  // write op per record (creation-time rule matching sends each op to
-  // the record's original shard). Returns the number of affected
-  // rows. Near-real-time caveat: only refreshed rows are visible to
-  // the WHERE selection.
   [[nodiscard]] Result<uint64_t> ExecuteDmlSql(std::string_view sql);
-  [[nodiscard]] Result<uint64_t> ExecuteDml(const DmlStatement& statement);
 
   // Number of shard subqueries the last Execute performed (Figure 16's
   // cost driver) and its executor counters. Mutex-guarded so
   // concurrent client queries stay race-free; with queries in flight
   // from several threads, "last" means "most recently finished".
-  uint32_t last_subqueries() const;
-  ExecStats last_stats() const;
+  uint32_t last_subqueries() const {
+    return coordinator_.last_query().subqueries;
+  }
+  ExecStats last_stats() const { return coordinator_.last_query().stats; }
 
   // Resizes the subquery pool (0 = serial). Safe to call while
   // queries are in flight: the pool is swapped through a shared_ptr
@@ -241,11 +230,9 @@ class Esdb {
  private:
   ShardStore* Primary(ShardId id);
   const ShardStore* Primary(ShardId id) const;
-  // ExecuteWithPlanner, also handing this query's executor counters
-  // to `stats_out` when non-null.
-  [[nodiscard]] Result<QueryResult> RunQuery(const Query& query,
-                                             const PlannerOptions& planner,
-                                             ExecStats* stats_out);
+  // A coordinator call lent this instance's query pool, filter cache,
+  // engine flag and tier admission.
+  QueryCoordinator::Call QueryCall(const PlannerOptions& planner);
   // Commits balancer proposals as one copy-on-write rule-list update.
   void PublishProposals(Micros effective_time,
                         const std::vector<RuleProposal>& proposals);
@@ -253,8 +240,8 @@ class Esdb {
   // The cluster skeleton below is fixed at construction; the only
   // post-construction writes are the admin entry points (Set*Threads
   // touches the thread-count fields of options_, InstallShard rebinds
-  // one shards_ slot), which callers serialize. pool_mu_/stats_mu_
-  // guard only what they annotate.
+  // one shards_ slot), which callers serialize. pool_mu_ guards only
+  // what it annotates.
   Options options_;  // lint:unguarded(thread-count fields mutated only by serialized admin Set*Threads)
   std::atomic<bool> batch_execution_;
   std::unique_ptr<RoutingPolicy> routing_;  // lint:unguarded(fixed at construction)
@@ -279,11 +266,7 @@ class Esdb {
   mutable Mutex pool_mu_;
   std::shared_ptr<ThreadPool> query_pool_ GUARDED_BY(pool_mu_);
   std::shared_ptr<ThreadPool> maintenance_pool_ GUARDED_BY(pool_mu_);
-  // Guards the "most recently finished query" introspection pair.
-  // Leaf mutex, never held together with pool_mu_.
-  mutable Mutex stats_mu_;
-  uint32_t last_subqueries_ GUARDED_BY(stats_mu_) = 0;
-  ExecStats last_stats_ GUARDED_BY(stats_mu_);
+  QueryCoordinator coordinator_;  // lint:unguarded(bindings fixed at construction; internally synchronized)
 };
 
 }  // namespace esdb

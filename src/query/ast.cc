@@ -190,24 +190,18 @@ size_t Expr::Depth() const {
 }
 
 std::string Query::ToString() const {
-  std::string out = "SELECT ";
+  // Plain columns first (with an aggregate, only the GROUP BY column
+  // parses), then the aggregate.
+  std::vector<std::string> items = select_columns;
   switch (agg) {
-    case AggFunc::kNone:
-      if (select_columns.empty()) {
-        out += "*";
-      } else {
-        for (size_t i = 0; i < select_columns.size(); ++i) {
-          if (i > 0) out += ", ";
-          out += select_columns[i];
-        }
-      }
-      break;
-    case AggFunc::kCount: out += "COUNT(*)"; break;
-    case AggFunc::kSum: out += "SUM(" + agg_column + ")"; break;
-    case AggFunc::kAvg: out += "AVG(" + agg_column + ")"; break;
-    case AggFunc::kMin: out += "MIN(" + agg_column + ")"; break;
-    case AggFunc::kMax: out += "MAX(" + agg_column + ")"; break;
+    case AggFunc::kNone: break;
+    case AggFunc::kCount: items.push_back("COUNT(*)"); break;
+    case AggFunc::kSum: items.push_back("SUM(" + agg_column + ")"); break;
+    case AggFunc::kAvg: items.push_back("AVG(" + agg_column + ")"); break;
+    case AggFunc::kMin: items.push_back("MIN(" + agg_column + ")"); break;
+    case AggFunc::kMax: items.push_back("MAX(" + agg_column + ")"); break;
   }
+  std::string out = "SELECT " + (items.empty() ? "*" : StrJoin(items, ", "));
   out += " FROM " + table;
   if (where != nullptr) out += " WHERE " + where->ToString();
   if (!group_by.empty()) out += " GROUP BY " + group_by;

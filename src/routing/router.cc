@@ -87,4 +87,19 @@ std::vector<ShardId> DynamicSecondaryHashing::RouteRead(
   return ConsecutiveShards(tenant, s, num_shards_);
 }
 
+std::unique_ptr<RoutingPolicy> MakeRoutingPolicy(RoutingKind kind,
+                                                 uint32_t num_shards,
+                                                 uint32_t double_hash_offset) {
+  switch (kind) {
+    case RoutingKind::kHash:
+      return std::make_unique<HashRouting>(num_shards);
+    case RoutingKind::kDoubleHash:
+      return std::make_unique<DoubleHashRouting>(num_shards,
+                                                 double_hash_offset);
+    case RoutingKind::kDynamic:
+      break;
+  }
+  return std::make_unique<DynamicSecondaryHashing>(num_shards);
+}
+
 }  // namespace esdb

@@ -128,6 +128,13 @@ class DynamicSecondaryHashing : public RoutingPolicy {
       std::make_shared<const RuleList>();
 };
 
+// The policy for `kind`; `double_hash_offset` is kDoubleHash's static
+// s. Callers that drive balancing recover the kDynamic policy with a
+// dynamic_cast.
+std::unique_ptr<RoutingPolicy> MakeRoutingPolicy(RoutingKind kind,
+                                                 uint32_t num_shards,
+                                                 uint32_t double_hash_offset);
+
 }  // namespace esdb
 
 #endif  // ESDB_ROUTING_ROUTER_H_

@@ -58,31 +58,20 @@ ClusterSim::ClusterSim(Options options)
     options_.replica_cost = options_.write_cost;
   }
 
-  switch (options_.routing) {
-    case RoutingKind::kHash:
-      routing_ = std::make_unique<HashRouting>(options_.num_shards);
-      break;
-    case RoutingKind::kDoubleHash:
-      routing_ = std::make_unique<DoubleHashRouting>(
-          options_.num_shards, options_.double_hash_offset);
-      break;
-    case RoutingKind::kDynamic: {
-      auto dynamic =
-          std::make_unique<DynamicSecondaryHashing>(options_.num_shards);
-      dynamic_ = dynamic.get();
-      routing_ = std::move(dynamic);
-      // Control plane: node 0 is the master; every node participates.
-      network_ = std::make_unique<SimNetwork>(&clock_, options_.network);
-      std::vector<NodeId> ids;
-      for (uint32_t i = 0; i < options_.num_nodes; ++i) {
-        ids.push_back(NodeId(i + 1));  // participant ids 1..num_nodes
-        participants_.push_back(std::make_unique<ConsensusParticipant>(
-            NodeId(i + 1), network_.get(), &clock_));
-      }
-      master_ = std::make_unique<ConsensusMaster>(
-          NodeId(0), network_.get(), &clock_, ids, options_.consensus);
-      break;
+  routing_ = MakeRoutingPolicy(options_.routing, options_.num_shards,
+                               options_.double_hash_offset);
+  dynamic_ = dynamic_cast<DynamicSecondaryHashing*>(routing_.get());
+  if (dynamic_ != nullptr) {
+    // Control plane: node 0 is the master; every node participates.
+    network_ = std::make_unique<SimNetwork>(&clock_, options_.network);
+    std::vector<NodeId> ids;
+    for (uint32_t i = 0; i < options_.num_nodes; ++i) {
+      ids.push_back(NodeId(i + 1));  // participant ids 1..num_nodes
+      participants_.push_back(std::make_unique<ConsensusParticipant>(
+          NodeId(i + 1), network_.get(), &clock_));
     }
+    master_ = std::make_unique<ConsensusMaster>(
+        NodeId(0), network_.get(), &clock_, ids, options_.consensus);
   }
 
   // Placement tables start at the historical modulo layout; FailNode

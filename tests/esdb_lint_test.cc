@@ -477,6 +477,52 @@ TEST(PlanNodeSync, TreesWithoutThePlanHeaderAreSkipped) {
   EXPECT_TRUE(CheckPlanNodeSync(files).empty());
 }
 
+// --- single-coordinator -----------------------------------------------
+
+TEST(SingleCoordinator, CallsOutsideTheCoordinatorAreReported) {
+  const std::vector<SourceFile> files = {
+      {"cluster/distributed.cc",
+       "Result<QueryResult> Serial(const Query& q) {\n"
+       "  ESDB_ASSIGN_OR_RETURN(QueryResult r,\n"
+       "                        ExecuteOnShard(q, *plan, *snap, &stats));\n"
+       "  auto refs = esdb::ExecuteQueryPhase(q, *plan, *snap, 0, &s, &m);\n"
+       "  return AggregateResults(q, std::move(results));\n"
+       "}\n"},
+  };
+  const std::vector<Finding> findings = CheckSingleCoordinator(files);
+  ASSERT_EQ(findings.size(), 3u) << ToText(findings);
+  EXPECT_EQ(findings[0].check, "single-coordinator");
+  EXPECT_EQ(findings[0].file, "cluster/distributed.cc");
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_NE(findings[0].message.find("ExecuteOnShard"), std::string::npos);
+  EXPECT_EQ(findings[1].line, 4);
+  EXPECT_EQ(findings[2].line, 5);
+}
+
+TEST(SingleCoordinator, DeclarationsDefinitionsAndTheCoordinatorPass) {
+  const std::vector<SourceFile> files = {
+      {"query/executor.h",
+       "[[nodiscard]] Result<QueryResult> ExecuteOnShard(\n"
+       "    const Query& query, const PlanNode& plan);\n"
+       "QueryResult AggregateResults(const Query& query,\n"
+       "                             std::vector<QueryResult> results);\n"
+       "// ExecuteFetchPhase(refs) runs after the merge.\n"},
+      {"query/executor.cc",
+       "Result<std::vector<Document>> ExecuteFetchPhase(\n"
+       "    const Query& query) {\n"
+       "  const char* s = \"ExecuteQueryPhase(\";\n"
+       "  return {};\n"
+       "}\n"},
+      {"cluster/query_coordinator.cc",
+       "Result<QueryResult> Run(const Query& q) {\n"
+       "  auto r = ExecuteOnShard(q, *plan);\n"
+       "  return AggregateResults(q, std::move(results));\n"
+       "}\n"},
+  };
+  const std::vector<Finding> findings = CheckSingleCoordinator(files);
+  EXPECT_TRUE(findings.empty()) << ToText(findings);
+}
+
 // --- output formats ---------------------------------------------------
 
 TEST(Output, JsonIsWellFormedAndEscaped) {
@@ -520,6 +566,7 @@ TEST(Fixtures, BrokenTreesProduceTheExpectedDiagnostic) {
       {"broken_mutex", "raw-primitive"},
       {"broken_unguarded", "guarded-member"},
       {"broken_plan_sync", "plan-node-sync"},
+      {"broken_coordinator", "single-coordinator"},
   };
   for (const auto& c : kCases) {
     const std::vector<Finding> findings =

@@ -26,7 +26,8 @@ int Usage(const char* argv0) {
                "usage: %s [--format=human|json] [--check=name,...] "
                "<src-root>\n"
                "checks: layer-dag raw-primitive lock-order "
-               "failpoint-registry guarded-member\n",
+               "failpoint-registry guarded-member plan-node-sync "
+               "single-coordinator\n",
                argv0);
   return 2;
 }

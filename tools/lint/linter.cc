@@ -961,13 +961,84 @@ std::vector<Finding> CheckPlanNodeSync(const std::vector<SourceFile>& files) {
   return findings;
 }
 
+// --- check: single-coordinator ---------------------------------------
+
+namespace {
+
+// True when the `name` token at `pos` is called there rather than
+// declared or defined: it is followed by '(' and not preceded by a
+// return type. Qualifiers (`esdb::`) are looked through.
+bool IsCallSite(const std::string& stripped, size_t pos,
+                const std::string& name) {
+  size_t q = pos + name.size();
+  while (q < stripped.size() &&
+         std::isspace(static_cast<unsigned char>(stripped[q]))) {
+    ++q;
+  }
+  if (q >= stripped.size() || stripped[q] != '(') return false;
+  size_t p = pos;
+  const auto skip_space = [&] {
+    while (p > 0 && std::isspace(static_cast<unsigned char>(stripped[p - 1]))) {
+      --p;
+    }
+  };
+  skip_space();
+  while (p >= 2 && stripped.compare(p - 2, 2, "::") == 0) {
+    p -= 2;
+    skip_space();
+    while (p > 0 && IsIdentChar(stripped[p - 1])) --p;
+    skip_space();
+  }
+  if (p == 0) return true;
+  const char prev = stripped[p - 1];
+  if (IsIdentChar(prev)) {
+    size_t b = p;
+    while (b > 0 && IsIdentChar(stripped[b - 1])) --b;
+    const std::string word = stripped.substr(b, p - b);
+    return word == "return" || word == "co_return";
+  }
+  if (prev == '>') return p >= 2 && stripped[p - 2] == '-';
+  return prev != '*' && prev != '&';
+}
+
+}  // namespace
+
+std::vector<Finding> CheckSingleCoordinator(
+    const std::vector<SourceFile>& files) {
+  // The executor entry points a query coordinator is made of. A second
+  // caller is a second coordinator: a fan-out/merge/fetch loop that
+  // drifts from the first (no cost pass, no two-phase fetch).
+  static const char* const kEntryPoints[] = {
+      "ExecuteOnShard", "ExecuteQueryPhase", "ExecuteFetchPhase",
+      "AggregateResults"};
+  const std::string kCoordinator = "cluster/query_coordinator.cc";
+  std::vector<Finding> findings;
+  for (const SourceFile& f : files) {
+    if (f.path == kCoordinator) continue;
+    const std::string stripped =
+        StripComments(f.contents, /*strip_strings=*/true);
+    for (const std::string name : kEntryPoints) {
+      for (size_t pos = FindToken(stripped, name); pos != std::string::npos;
+           pos = FindToken(stripped, name, pos + 1)) {
+        if (!IsCallSite(stripped, pos, name)) continue;
+        findings.push_back(
+            {"single-coordinator", f.path, LineOf(stripped, pos),
+             name + "() is called outside " + kCoordinator +
+                 "; route the query through QueryCoordinator instead of "
+                 "running a second fan-out"});
+      }
+    }
+  }
+  return findings;
+}
+
 // --- driver ----------------------------------------------------------
 
 std::vector<Finding> RunLint(const std::vector<SourceFile>& files) {
   std::vector<Finding> findings;
   for (auto* check : {CheckLayerDag, CheckRawPrimitives, CheckLockOrder,
                       CheckFailPointRegistry, CheckGuardedMembers,
-                      CheckPlanNodeSync}) {
+                      CheckPlanNodeSync, CheckSingleCoordinator}) {
     std::vector<Finding> f = check(files);
     findings.insert(findings.end(), std::make_move_iterator(f.begin()),
                     std::make_move_iterator(f.end()));

@@ -3,7 +3,7 @@
 
 // esdb_lint: project-specific static analysis over src/.
 //
-// Six invariants no off-the-shelf tool knows about this codebase:
+// Seven invariants no off-the-shelf tool knows about this codebase:
 //
 //   layer-dag           The include-layer DAG. Layers (low to high):
 //                         0 common
@@ -48,6 +48,15 @@
 //                       wrong-answer bug; the three-way sync is closed
 //                       at lint time. Skipped when query/plan.h is not
 //                       among the inputs.
+//   single-coordinator  Only cluster/query_coordinator.cc may call the
+//                       executor entry points ExecuteOnShard,
+//                       ExecuteQueryPhase, ExecuteFetchPhase and
+//                       AggregateResults: both cluster front-ends
+//                       (Esdb, DistributedEsdb) run queries through
+//                       that one coordinator, so a second fan-out loop
+//                       cannot drift from it. Declarations and
+//                       definitions (a return type precedes the name)
+//                       are not calls.
 //
 // The linter is deliberately dependency-free (std only, token/line
 // level, no libclang): it must build and run everywhere the tree
@@ -86,6 +95,8 @@ std::vector<Finding> CheckFailPointRegistry(
     const std::vector<SourceFile>& files);
 std::vector<Finding> CheckGuardedMembers(const std::vector<SourceFile>& files);
 std::vector<Finding> CheckPlanNodeSync(const std::vector<SourceFile>& files);
+std::vector<Finding> CheckSingleCoordinator(
+    const std::vector<SourceFile>& files);
 
 // Replaces comments (and, if `strip_strings`, string/char literals)
 // with spaces, preserving the line structure so findings keep exact
