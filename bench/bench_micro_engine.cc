@@ -132,6 +132,57 @@ void BM_SegmentBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentBuild)->Arg(1000)->Arg(8000);
 
+// One merge of range(0) segments of range(1) transaction-log docs each,
+// one doc in eight deleted: Segment::Merge (range(2) = 1) against the
+// same merge done by re-indexing every live doc through GetDocument and
+// SegmentBuilder (range(2) = 0), the path merges took before the
+// structural merge and the reference segment_merge_test compares with.
+// Items are merged (live) docs.
+void BM_SegmentMerge(benchmark::State& state) {
+  WorkloadGenerator::Options wopts;
+  wopts.num_tenants = 1000;
+  WorkloadGenerator generator(wopts);
+  const IndexSpec spec = IndexSpec::TransactionLogDefault();
+  std::vector<SegmentView> inputs;
+  size_t live = 0;
+  for (int64_t s = 0; s < state.range(0); ++s) {
+    SegmentBuilder builder(&spec);
+    for (int64_t i = 0; i < state.range(1); ++i) {
+      builder.Add(generator.NextDocument(Micros(i)));
+    }
+    const uint32_t n = uint32_t(state.range(1));
+    std::shared_ptr<const Tombstones> dead;
+    for (DocId id = DocId(s) % 8; id < n; id += 8) {
+      dead = Tombstones::WithDeleted(dead.get(), n, id);
+    }
+    inputs.push_back(SegmentView{std::move(builder).Build(uint64_t(s + 1)),
+                                 dead, nullptr});
+    live += inputs.back().num_live_docs();
+  }
+  const bool structural = state.range(2) != 0;
+  for (auto _ : state) {
+    if (structural) {
+      benchmark::DoNotOptimize(Segment::Merge(inputs, spec, 100));
+      continue;
+    }
+    SegmentBuilder builder(&spec);
+    for (const SegmentView& view : inputs) {
+      const PostingList ids = view.LiveDocs();
+      for (DocId id : ids.ids()) builder.Add(*view.GetDocument(id));
+    }
+    benchmark::DoNotOptimize(std::move(builder).Build(100));
+  }
+  state.SetItemsProcessed(int64_t(state.iterations() * live));
+  state.SetLabel(structural ? "structural" : "re-index");
+}
+BENCHMARK(BM_SegmentMerge)
+    ->Args({2, 4, 0})
+    ->Args({2, 4, 1})
+    ->Args({8, 4, 0})
+    ->Args({8, 4, 1})
+    ->Args({2, 256, 0})
+    ->Args({2, 256, 1});
+
 void BM_SegmentEncodeDecode(benchmark::State& state) {
   WorkloadGenerator::Options wopts;
   WorkloadGenerator generator(wopts);

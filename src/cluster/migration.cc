@@ -133,6 +133,7 @@ Status ShardMigrator::Start(ShardId shard, NodeId from, NodeId to) {
   // or arrives later and lands in `pending` — exactly once each.
   ESDB_ASSIGN_OR_RETURN(slot->pinned,
                         source->primary()->ExportPinnedEpoch());
+  slot->boundary_seq = slot->pinned.boundary_seq;
   slot->target = std::make_unique<ShardStore>(spec_, store_options_);
   slot->pending.clear();
   slot->copy_pos = 0;
@@ -207,6 +208,19 @@ Result<MigrationPhase> ShardMigrator::StepCutOver(ShardId shard, Slot* slot) {
   // continues; the step retries until the routing entry flips.
   if (ESDB_FAIL_POINT(failsite::kMigrateCutover)) {
     return Status::Unavailable("failpoint: migrate/cutover");
+  }
+  // The replayed delta and the mirrored writes sit in the target's
+  // write buffer. If the source has published any of them since
+  // Start, publish the target's buffer before the swap: a reader must
+  // not lose a write that was searchable a moment before the routing
+  // entry flipped. (The whole buffer goes; refreshing early is always
+  // allowed.) Otherwise the target keeps them buffered, as the source
+  // does, and cuts its segments where the source will.
+  const std::shared_ptr<ReplicatedShard> source =
+      host_->MigrationSource(shard);
+  if (source != nullptr &&
+      source->primary()->refreshed_seq() > slot->boundary_seq) {
+    slot->target->Refresh();
   }
   // InstallMigrated swaps the routing entry while we hold slot->mu,
   // and every write goes Apply() -> slot->mu first: a writer either

@@ -171,6 +171,9 @@ class ShardMigrator {
     // tail copied out (copied, not referenced — a later Flush() on
     // the source may truncate the translog mid-migration).
     ShardStore::PinnedEpoch pinned GUARDED_BY(mu);
+    // pinned.boundary_seq, kept past the replay: every source op from
+    // here on reaches the target through its write buffer.
+    uint64_t boundary_seq GUARDED_BY(mu) = 0;
     size_t copy_pos GUARDED_BY(mu) = 0;
     // Ops acknowledged while Copying, in ack order, waiting for the
     // delta replay that precedes dual-write.

@@ -1,5 +1,7 @@
 #include "document/document.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 #include "common/varint.h"
 
@@ -50,6 +52,25 @@ Result<Document> Document::Deserialize(std::string_view data) {
   return doc;
 }
 
+Result<bool> Document::SerializedHas(std::string_view data,
+                                     std::string_view field) {
+  size_t pos = 0;
+  uint64_t n = 0;
+  if (!GetVarint64(data, &pos, &n)) {
+    return Status::Corruption("document: truncated field count");
+  }
+  for (uint64_t i = 0; i < n; ++i) {
+    std::string_view name;
+    Value skipped;
+    if (!GetLengthPrefixed(data, &pos, &name) ||
+        !Value::DecodeFrom(data, &pos, &skipped)) {
+      return Status::Corruption("document: truncated field");
+    }
+    if (name == field) return true;
+  }
+  return false;
+}
+
 std::string EncodeAttributes(
     const std::map<std::string, std::string>& sub_attributes) {
   std::string out;
@@ -64,13 +85,30 @@ std::string EncodeAttributes(
 
 std::map<std::string, std::string> ParseAttributes(std::string_view encoded) {
   std::map<std::string, std::string> out;
+  for (const auto& [key, value] : ParseAttributeViews(encoded)) {
+    out.emplace_hint(out.end(), key, value);
+  }
+  return out;
+}
+
+std::vector<std::pair<std::string_view, std::string_view>> ParseAttributeViews(
+    std::string_view encoded) {
+  std::vector<std::pair<std::string_view, std::string_view>> out;
   if (encoded.empty()) return out;
   for (std::string_view pair : StrSplit(encoded, ';')) {
     const size_t colon = pair.find(':');
     if (colon == std::string_view::npos) continue;  // malformed pair
-    out[std::string(pair.substr(0, colon))] =
-        std::string(pair.substr(colon + 1));
+    out.emplace_back(pair.substr(0, colon), pair.substr(colon + 1));
   }
+  // Stable, so within a run of equal keys the last one parsed is last.
+  std::stable_sort(out.begin(), out.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  size_t kept = 0;
+  for (size_t i = 0; i < out.size(); ++i) {
+    if (i + 1 < out.size() && out[i + 1].first == out[i].first) continue;
+    out[kept++] = out[i];
+  }
+  out.resize(kept);
   return out;
 }
 

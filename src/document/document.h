@@ -5,6 +5,8 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/result.h"
@@ -48,8 +50,14 @@ class Document {
   Micros created_time() const { return Get(kFieldCreatedTime).is_int() ? Get(kFieldCreatedTime).as_int() : 0; }
 
   // Binary round-trip used by the translog and segment stored fields.
+  // Serialize is canonical (fields in name order), so
+  // Serialize(Deserialize(bytes)) == bytes for any Serialize output.
   std::string Serialize() const;
   [[nodiscard]] static Result<Document> Deserialize(std::string_view data);
+  // Whether serialized `data` carries `field` (explicit null included),
+  // reading field names without materializing the document.
+  [[nodiscard]] static Result<bool> SerializedHas(std::string_view data,
+                                                  std::string_view field);
 
   bool operator==(const Document& other) const {
     return fields_ == other.fields_;
@@ -65,6 +73,10 @@ class Document {
 std::string EncodeAttributes(
     const std::map<std::string, std::string>& sub_attributes);
 std::map<std::string, std::string> ParseAttributes(std::string_view encoded);
+// The same pairs as views into `encoded`, in key order: the last of
+// duplicate keys wins and pieces without ':' are skipped.
+std::vector<std::pair<std::string_view, std::string_view>> ParseAttributeViews(
+    std::string_view encoded);
 
 // Name of the synthetic per-sub-attribute field that frequency-based
 // indexing materializes, e.g. "attributes.activity".

@@ -12,8 +12,8 @@
 // slots natively — tag array + payload array frozen at segment build
 // — and the storage layer may not include upward into query/ (the
 // include-layer DAG is enforced by tools/lint/esdb_lint). The
-// slot *operations* that depend on the query AST (CompareSlotValue,
-// EvalPredSlot) stay in query/batch/slot.h.
+// slot *operations* that depend on the query AST (EvalPredSlot) stay
+// in query/batch/slot.h.
 
 namespace esdb {
 
@@ -66,6 +66,65 @@ struct TypedSlot {
 // Materializes a slot as a Value (string slots copy out of the pool).
 // Used only at batch boundaries: group-by keys, aggregate min/max.
 Value SlotToValue(const TypedSlot& slot);
+
+// The slot view of `v`: a string slot points at v's own string, so it
+// must not outlive `v`.
+TypedSlot SlotOf(const Value& v);
+
+// The rank lattice of Value::Compare: null < bool < numeric < string.
+inline int SlotRank(SlotTag tag) {
+  switch (tag) {
+    case SlotTag::kNothing:
+      return 0;
+    case SlotTag::kBool:
+      return 1;
+    case SlotTag::kInt:
+    case SlotTag::kDouble:
+      return 2;
+    case SlotTag::kString:
+      return 3;
+  }
+  return 4;
+}
+
+// Total ordering of a slot against a Value, identical to
+// Value::Compare on the materialized slot (null < bool < numeric <
+// string; numerics compare by value across int/double, exactly when
+// both sides are ints). Returns <0, 0, >0. Inline: the batch engine's
+// filter loops call it once per candidate doc.
+inline int CompareSlotValue(const TypedSlot& slot, const Value& other) {
+  static constexpr int kValueRank[] = {0, 1, 2, 2, 3};  // by Value::Type
+  const int ra = SlotRank(slot.tag);
+  const int rb = kValueRank[int(other.type())];
+  if (ra != rb) return ra < rb ? -1 : 1;
+  switch (slot.tag) {
+    case SlotTag::kNothing:
+      return 0;
+    case SlotTag::kBool: {
+      const int a = slot.as_bool() ? 1 : 0;
+      const int b = other.as_bool() ? 1 : 0;
+      return a - b;
+    }
+    case SlotTag::kInt:
+    case SlotTag::kDouble: {
+      if (slot.tag == SlotTag::kInt && other.is_int()) {
+        const int64_t a = slot.as_int();
+        const int64_t b = other.as_int();
+        return a < b ? -1 : (a > b ? 1 : 0);
+      }
+      const double a = slot.NumericValue();
+      const double b = other.NumericValue();
+      return a < b ? -1 : (a > b ? 1 : 0);
+    }
+    case SlotTag::kString:
+      return slot.as_string().compare(other.as_string());
+  }
+  return 0;
+}
+
+// Order-preserving key encoding of the slot's value, without
+// materializing it; Value::EncodeSortable is this over SlotOf(value).
+std::string EncodeSortable(const TypedSlot& slot);
 
 }  // namespace esdb
 

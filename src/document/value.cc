@@ -1,6 +1,7 @@
 #include "document/value.h"
 
 #include "common/varint.h"
+#include "document/slot.h"
 
 #include <cmath>
 #include <cstdio>
@@ -77,40 +78,7 @@ std::string Value::ToString() const {
 }
 
 std::string Value::EncodeSortable() const {
-  // Layout: 1 type-rank byte, then a type-specific order-preserving
-  // payload. Numerics (int and double) share rank 2 and are both
-  // encoded via the IEEE-754 total-order trick on double so that
-  // cross-type numeric comparisons order correctly.
-  std::string out;
-  out.push_back(char('0' + TypeRank()));
-  switch (type()) {
-    case Type::kNull:
-      break;
-    case Type::kBool:
-      out.push_back(as_bool() ? '\x01' : '\x00');
-      break;
-    case Type::kInt:
-    case Type::kDouble: {
-      double d = NumericValue();
-      uint64_t bits;
-      std::memcpy(&bits, &d, sizeof(bits));
-      // Flip so that byte-lexicographic order == numeric order:
-      // negative doubles invert all bits, positive flip the sign bit.
-      if (bits & 0x8000000000000000ull) {
-        bits = ~bits;
-      } else {
-        bits |= 0x8000000000000000ull;
-      }
-      for (int shift = 56; shift >= 0; shift -= 8) {
-        out.push_back(char((bits >> shift) & 0xff));
-      }
-      break;
-    }
-    case Type::kString:
-      out.append(as_string());
-      break;
-  }
-  return out;
+  return esdb::EncodeSortable(SlotOf(*this));
 }
 
 // Type tags in the serialized form.

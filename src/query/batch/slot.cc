@@ -7,70 +7,6 @@
 namespace esdb {
 namespace batch {
 
-namespace {
-
-// Same rank lattice as Value::TypeRank.
-int Rank(SlotTag tag) {
-  switch (tag) {
-    case SlotTag::kNothing:
-      return 0;
-    case SlotTag::kBool:
-      return 1;
-    case SlotTag::kInt:
-    case SlotTag::kDouble:
-      return 2;
-    case SlotTag::kString:
-      return 3;
-  }
-  return 4;
-}
-
-int ValueRank(const Value& v) {
-  switch (v.type()) {
-    case Value::Type::kNull:
-      return 0;
-    case Value::Type::kBool:
-      return 1;
-    case Value::Type::kInt:
-    case Value::Type::kDouble:
-      return 2;
-    case Value::Type::kString:
-      return 3;
-  }
-  return 4;
-}
-
-}  // namespace
-
-int CompareSlotValue(const TypedSlot& slot, const Value& other) {
-  const int ra = Rank(slot.tag);
-  const int rb = ValueRank(other);
-  if (ra != rb) return ra < rb ? -1 : 1;
-  switch (slot.tag) {
-    case SlotTag::kNothing:
-      return 0;
-    case SlotTag::kBool: {
-      const int a = slot.as_bool() ? 1 : 0;
-      const int b = other.as_bool() ? 1 : 0;
-      return a - b;
-    }
-    case SlotTag::kInt:
-    case SlotTag::kDouble: {
-      if (slot.tag == SlotTag::kInt && other.is_int()) {
-        const int64_t a = slot.as_int();
-        const int64_t b = other.as_int();
-        return a < b ? -1 : (a > b ? 1 : 0);
-      }
-      const double a = slot.NumericValue();
-      const double b = other.NumericValue();
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
-    case SlotTag::kString:
-      return slot.as_string().compare(other.as_string());
-  }
-  return 0;
-}
-
 bool EvalPredSlot(const Predicate& pred, const TypedSlot& slot) {
   switch (pred.op) {
     case PredOp::kEq:

@@ -15,15 +15,10 @@ namespace batch {
 // without including upward into query/. Re-exported here under the
 // engine's namespace; the operations below depend on the query AST
 // and therefore stay at this layer.
+using ::esdb::CompareSlotValue;
 using ::esdb::SlotTag;
 using ::esdb::SlotToValue;
 using ::esdb::TypedSlot;
-
-// Total ordering of a slot against a Value, identical to
-// Value::Compare on the materialized slot (null < bool < numeric <
-// string; numerics compare by value across int/double, exactly when
-// both sides are ints). Returns <0, 0, >0.
-int CompareSlotValue(const TypedSlot& slot, const Value& other);
 
 // Predicate evaluation on a slot: produces exactly the same result as
 // Predicate::Eval on the materialized Value, without constructing

@@ -2,7 +2,6 @@
 #define ESDB_STORAGE_ATTRIBUTE_SIDECAR_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -31,6 +30,14 @@ class AttributeSidecar {
   // Returns an empty sidecar (not null) when the column is absent.
   static std::unique_ptr<AttributeSidecar> Build(const DocValues& doc_values);
 
+  // Merge step: the sidecar Build would produce over the live docs of
+  // `inputs` concatenated in order, made by remapping each input's key
+  // and value ids (interned in first-use order, as Build does) instead
+  // of re-parsing any attribute string.
+  static std::unique_ptr<AttributeSidecar> Merge(
+      const std::vector<const AttributeSidecar*>& inputs,
+      const std::vector<DocIdMap>& maps);
+
   // Interned id of `key`, or -1 when the key appears nowhere in the
   // segment (every doc's lookup is then null). Resolve once per
   // (query, segment), not per doc.
@@ -58,6 +65,14 @@ class AttributeSidecar {
  private:
   AttributeSidecar() = default;
 
+  // Build/Merge state: interns keys and values in first-use order. The
+  // views must outlive the builder (they point into column strings or
+  // input sidecars).
+  class Interner;
+
+  // Fills keys_by_name_ once keys_ is complete.
+  void IndexKeys();
+
   struct Pair {
     uint32_t key;    // index into keys_
     uint32_t value;  // index into values_
@@ -67,7 +82,7 @@ class AttributeSidecar {
   std::vector<Pair> pairs_;
   std::vector<std::string> keys_;    // interned key strings
   std::vector<std::string> values_;  // interned value strings (deduped)
-  std::map<std::string, uint32_t, std::less<>> key_ids_;
+  std::vector<uint32_t> keys_by_name_;  // key ids in key-string order
 };
 
 }  // namespace esdb

@@ -1,5 +1,6 @@
 #include "storage/cold_segment.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -341,6 +342,31 @@ Result<Document> ColdSegment::ReadDocument(DocId doc) const {
     }
   }
   return Document::Deserialize(bytes);
+}
+
+Status ColdSegment::AppendStoredDocs(const DocIdMap& keep,
+                                     std::vector<std::string>* out) const {
+  for (uint32_t block = 0; block < doc_blocks_.size(); ++block) {
+    const DocId first = block * docs_per_block_;
+    const DocId last = std::min<DocId>(first + docs_per_block_, num_docs_);
+    bool any = false;
+    for (DocId id = first; id < last && !any; ++id) {
+      any = keep[id] != kDroppedDoc;
+    }
+    if (!any) continue;
+    ESDB_ASSIGN_OR_RETURN(std::shared_ptr<const std::string> bytes,
+                          PinDocBlock(block));
+    std::string_view data(*bytes);
+    size_t pos = 0;
+    for (DocId id = first; id < last; ++id) {
+      std::string_view doc;
+      if (!GetLengthPrefixed(data, &pos, &doc)) {
+        return Status::Corruption("cold: truncated stored-doc block");
+      }
+      if (keep[id] != kDroppedDoc) out->emplace_back(doc);
+    }
+  }
+  return Status::OK();
 }
 
 Result<std::unique_ptr<Segment>> ColdSegment::LoadFull() const {

@@ -104,9 +104,16 @@ class ColdSegment {
   // block 1 + block_index). Fail point: failsite::kColdLoad.
   [[nodiscard]] Result<Document> ReadDocument(DocId doc) const;
 
+  // Appends the stored bytes of every doc that `keep` does not drop,
+  // in doc order (the merge's document copy). Each row block holding
+  // such a doc is pinned once, through the cache like ReadDocument;
+  // blocks holding none are not read. Fail point: failsite::kColdLoad.
+  [[nodiscard]] Status AppendStoredDocs(const DocIdMap& keep,
+                                        std::vector<std::string>* out) const;
+
   // Fully inflates the segment — index part AND all stored docs — for
-  // tier promotion, merges and replication. Bypasses the cache (the
-  // result is a one-shot owning Segment, not shared state).
+  // replication and checkpoints (SegmentView::EncodeFull). Bypasses the
+  // cache (the result is a one-shot owning Segment, not shared state).
   [[nodiscard]] Result<std::unique_ptr<Segment>> LoadFull() const;
 
   // The complete cold-file image (header + payload), for

@@ -50,13 +50,17 @@ ColumnStats ColumnStats::Build(const DocValues& dv) {
   for (const auto& [field, col] : dv.columns()) {
     ColumnSketch sk;
     std::vector<std::string> encoded;  // non-null values, for the histogram
+    encoded.reserve(col.size());
     // KMV: the kKmvK smallest distinct hashes seen so far, as a
     // max-heap so the largest retained hash is evictable in O(log k).
     std::vector<uint64_t> kmv;
+    kmv.reserve(std::min(col.size(), kKmvK + 1));
     bool kmv_saturated = false;
     for (size_t id = 0; id < col.size(); ++id) {
-      const Value v = col.Get(DocId(id));
-      if (v.is_null()) continue;
+      // Read as a slot: a string value is neither copied out of the
+      // column nor encoded twice.
+      const TypedSlot v = col.Slot(DocId(id));
+      if (v.is_nothing()) continue;
       ++sk.non_null;
       if (v.is_numeric()) {
         ++sk.numeric_count;
@@ -64,9 +68,13 @@ ColumnStats ColumnStats::Build(const DocValues& dv) {
       }
       // Same strict-compare rule as the executor's aggregate fold: the
       // first doc-order occurrence of a compare-equal extremum is kept.
-      if (sk.min.is_null() || v.Compare(sk.min) < 0) sk.min = v;
-      if (sk.max.is_null() || v.Compare(sk.max) > 0) sk.max = v;
-      encoded.push_back(v.EncodeSortable());
+      if (sk.min.is_null() || CompareSlotValue(v, sk.min) < 0) {
+        sk.min = SlotToValue(v);
+      }
+      if (sk.max.is_null() || CompareSlotValue(v, sk.max) > 0) {
+        sk.max = SlotToValue(v);
+      }
+      encoded.push_back(EncodeSortable(v));
       const uint64_t h = HashString(encoded.back(), kKmvSeed);
       if (!kmv_saturated &&
           std::find(kmv.begin(), kmv.end(), h) == kmv.end()) {

@@ -31,6 +31,18 @@ void DocValues::Column::Set(DocId id, Value v) {
       break;
     }
   }
+  Store(id, tag, payload);
+}
+
+void DocValues::Column::SetSlot(DocId id, TypedSlot slot) {
+  if (slot.tag == SlotTag::kString) {
+    strings_.push_back(slot.as_string());
+    slot.payload = uint64_t(uintptr_t(&strings_.back()));
+  }
+  Store(id, uint8_t(slot.tag), slot.payload);
+}
+
+void DocValues::Column::Store(DocId id, uint8_t tag, uint64_t payload) {
   // Overwrites and explicit nulls disable the uniform fast path
   // conservatively (uniform = every doc set exactly once, same tag).
   if (tags_[id] != uint8_t(SlotTag::kNothing)) mixed_ = true;

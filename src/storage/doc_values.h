@@ -35,9 +35,11 @@ class DocValues {
         : tags_(num_docs, uint8_t(SlotTag::kNothing)),
           payloads_(num_docs, 0) {}
 
-    // Build-time only (SegmentBuilder::Build / Segment::Decode); a
-    // column is frozen once its segment is published.
+    // Build-time only (SegmentBuilder::Build / Segment::Decode /
+    // Segment::Merge); a column is frozen once its segment is
+    // published. SetSlot copies a string slot into this column's pool.
     void Set(DocId id, Value v);
+    void SetSlot(DocId id, TypedSlot slot);
 
     // Materializes the value (string slots copy out of the pool).
     Value Get(DocId id) const {
@@ -74,6 +76,8 @@ class DocValues {
     size_t ApproximateBytes() const;
 
    private:
+    void Store(DocId id, uint8_t tag, uint64_t payload);
+
     std::vector<uint8_t> tags_;
     std::vector<uint64_t> payloads_;
     // Interned string storage; deque for stable addresses (string

@@ -1,6 +1,7 @@
 #ifndef ESDB_STORAGE_INDEX_SPEC_H_
 #define ESDB_STORAGE_INDEX_SPEC_H_
 
+#include <functional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -23,23 +24,30 @@ namespace esdb {
 // candidate posting list already exists the optimizer filters it by
 // doc-value sequential scan instead of another index search.
 struct IndexSpec {
-  std::set<std::string> text_fields;
-  std::set<std::string> scan_fields;
+  // Transparent comparators: the Is* lookups take string_views without
+  // building a std::string per call.
+  std::set<std::string, std::less<>> text_fields;
+  std::set<std::string, std::less<>> scan_fields;
   // Ordered column lists; the composite index name is the columns
   // joined with '_' (e.g. "tenant_id_created_time").
   std::vector<std::vector<std::string>> composite_indexes;
-  std::set<std::string> indexed_sub_attributes;
+  std::set<std::string, std::less<>> indexed_sub_attributes;
   bool index_all_sub_attributes = false;
 
   bool IsTextField(std::string_view f) const {
-    return text_fields.count(std::string(f)) > 0;
+    return text_fields.find(f) != text_fields.end();
   }
   bool IsScanField(std::string_view f) const {
-    return scan_fields.count(std::string(f)) > 0;
+    return scan_fields.find(f) != scan_fields.end();
   }
   bool IsIndexedSubAttribute(std::string_view key) const {
     return index_all_sub_attributes ||
-           indexed_sub_attributes.count(std::string(key)) > 0;
+           indexed_sub_attributes.find(key) != indexed_sub_attributes.end();
+  }
+  // False when no sub-attribute can be indexed, so the segment builder
+  // need not parse the attributes string at all.
+  bool IndexesSubAttributes() const {
+    return index_all_sub_attributes || !indexed_sub_attributes.empty();
   }
 
   static std::string CompositeName(const std::vector<std::string>& columns);

@@ -1,5 +1,7 @@
 #include "storage/inverted_index.h"
 
+#include "storage/sorted_walk.h"
+
 namespace esdb {
 
 namespace {
@@ -16,6 +18,30 @@ void InvertedIndex::Add(std::string_view term, DocId id) {
   if (it->second.empty() || it->second.ids().back() != id) {
     it->second.Append(id);
   }
+}
+
+InvertedIndex InvertedIndex::Merge(
+    const std::vector<const InvertedIndex*>& inputs,
+    const std::vector<DocIdMap>& maps) {
+  std::vector<const Dictionary*> dictionaries;
+  for (const InvertedIndex* in : inputs) {
+    dictionaries.push_back(in != nullptr ? &in->postings_ : nullptr);
+  }
+  InvertedIndex out;
+  (void)ForEachKeyInStep(
+      dictionaries, [&](const std::string& term,
+                        const std::vector<const PostingList*>& lists) {
+        PostingList merged;
+        for (size_t i = 0; i < lists.size(); ++i) {
+          if (lists[i] != nullptr) merged.AppendMapped(*lists[i], maps[i]);
+        }
+        if (!merged.empty()) {
+          out.postings_.emplace_hint(out.postings_.end(), term,
+                                     std::move(merged));
+        }
+        return Status::OK();
+      });
+  return out;
 }
 
 const PostingList& InvertedIndex::Lookup(std::string_view term) const {

@@ -19,6 +19,14 @@ class InvertedIndex {
   // non-decreasing order per term (build-time contract).
   void Add(std::string_view term, DocId id);
 
+  // Merge step: the index over the live docs of `inputs` concatenated
+  // in order, each input's postings renumbered through its map (a
+  // null input contributes nothing). Walks the sorted term
+  // dictionaries in step, so each merged term is inserted once, at
+  // the end; a term left with no live doc is dropped.
+  static InvertedIndex Merge(const std::vector<const InvertedIndex*>& inputs,
+                             const std::vector<DocIdMap>& maps);
+
   // Returns postings for `term`, or an empty shared list when absent.
   const PostingList& Lookup(std::string_view term) const;
 
@@ -28,15 +36,15 @@ class InvertedIndex {
   std::vector<const PostingList*> LookupRange(std::string_view lo,
                                               std::string_view hi) const;
 
+  using Dictionary = std::map<std::string, PostingList, std::less<>>;
+
   size_t num_terms() const { return postings_.size(); }
-  const std::map<std::string, PostingList, std::less<>>& terms() const {
-    return postings_;
-  }
+  const Dictionary& terms() const { return postings_; }
 
   size_t ApproximateBytes() const;
 
  private:
-  std::map<std::string, PostingList, std::less<>> postings_;
+  Dictionary postings_;
 };
 
 }  // namespace esdb

@@ -17,6 +17,12 @@ void PostingList::Append(DocId id) {
   ids_.push_back(id);
 }
 
+void PostingList::AppendMapped(const PostingList& src, const DocIdMap& map) {
+  for (const DocId id : src.ids_) {
+    if (map[id] != kDroppedDoc) Append(map[id]);
+  }
+}
+
 bool PostingList::Contains(DocId id) const {
   return std::binary_search(ids_.begin(), ids_.end(), id);
 }

@@ -13,6 +13,12 @@ namespace esdb {
 // Segment-local document id (0-based, dense).
 using DocId = uint32_t;
 
+// Merge-time renumbering of one input segment: the merged id of each
+// input doc, or kDroppedDoc for a deleted one. Live docs keep their
+// relative order, so a mapped posting list stays sorted.
+inline constexpr DocId kDroppedDoc = ~DocId(0);
+using DocIdMap = std::vector<DocId>;
+
 // Sorted, duplicate-free list of segment-local doc ids — the unit of
 // query evaluation (Lucene's postings). Encoded as delta varints in
 // the segment format.
@@ -23,6 +29,9 @@ class PostingList {
 
   // Appends an id that must be strictly greater than the current last.
   void Append(DocId id);
+  // Appends map[id] for every id of `src` that `map` does not drop;
+  // the mapped ids must exceed the current last.
+  void AppendMapped(const PostingList& src, const DocIdMap& map);
 
   size_t size() const { return ids_.size(); }
   bool empty() const { return ids_.empty(); }

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 #include <utility>
 
 #include "common/varint.h"
 #include "storage/analyzer.h"
 #include "storage/cold_segment.h"
+#include "storage/sorted_walk.h"
 
 namespace esdb {
 
@@ -414,6 +416,162 @@ Result<std::unique_ptr<Segment>> Segment::DecodeIndexPart(
   return seg;
 }
 
+// --- Structural merge -----------------------------------------------------
+
+namespace {
+
+// Whether a live doc of a merge carries `field` as an explicit null,
+// the one field state a doc-values column cannot tell from a missing
+// field. A keyword field indexes the null under the null term; a text
+// field leaves no index trace, so the merged stored docs are read.
+Result<bool> HasLiveExplicitNull(const std::string& field,
+                                 const std::vector<SegmentView>& inputs,
+                                 const std::vector<DocIdMap>& maps,
+                                 const IndexSpec& spec,
+                                 const std::vector<std::string>& stored) {
+  if (!spec.IsTextField(field)) {
+    const std::string null_term = Value().EncodeSortable();
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      for (const DocId id : inputs[i]->Postings(field, null_term).ids()) {
+        if (maps[i][id] != kDroppedDoc) return true;
+      }
+    }
+    return false;
+  }
+  for (const std::string& doc : stored) {
+    ESDB_ASSIGN_OR_RETURN(const bool has, Document::SerializedHas(doc, field));
+    if (has) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+Result<std::unique_ptr<Segment>> Segment::Merge(
+    const std::vector<SegmentView>& inputs, const IndexSpec& spec,
+    uint64_t segment_id) {
+  // Pin every input (a cold one decodes its index part through the
+  // block cache) and number the live docs in input order.
+  std::vector<SegmentView> pinned;
+  std::vector<DocIdMap> maps;
+  pinned.reserve(inputs.size());
+  maps.reserve(inputs.size());
+  DocId next = 0;
+  for (const SegmentView& view : inputs) {
+    ESDB_ASSIGN_OR_RETURN(SegmentView in, view.Pinned());
+    DocIdMap map(in.num_docs(), kDroppedDoc);
+    for (DocId id = 0; id < map.size(); ++id) {
+      if (!in.IsDeleted(id)) map[id] = next++;
+    }
+    pinned.push_back(std::move(in));
+    maps.push_back(std::move(map));
+  }
+
+  auto seg = std::unique_ptr<Segment>(new Segment());
+  seg->id_ = segment_id;
+  seg->num_docs_ = next;
+
+  // Stored documents and record ids, copied as they are.
+  seg->stored_.reserve(next);
+  seg->record_ids_.reserve(next);
+  for (size_t i = 0; i < pinned.size(); ++i) {
+    const SegmentView& in = pinned[i];
+    const DocIdMap& map = maps[i];
+    if (in.is_cold()) {
+      ESDB_RETURN_IF_ERROR(in.cold->AppendStoredDocs(map, &seg->stored_));
+    } else {
+      for (DocId id = 0; id < map.size(); ++id) {
+        if (map[id] != kDroppedDoc) seg->stored_.push_back(in->stored_[id]);
+      }
+    }
+    for (const auto& [record, id] : in->record_ids_) {
+      if (map[id] != kDroppedDoc) seg->record_ids_[record] = map[id];
+    }
+  }
+
+  // Doc values: each live slot copied once. A column exists when some
+  // live doc carries the field, as SegmentBuilder would create it.
+  seg->doc_values_ = std::make_unique<DocValues>(next);
+  std::vector<const std::map<std::string, DocValues::Column>*> columns;
+  for (const SegmentView& in : pinned) {
+    columns.push_back(&in->doc_values().columns());
+  }
+  ESDB_RETURN_IF_ERROR(ForEachKeyInStep(
+      columns, [&](const std::string& name,
+                   const std::vector<const DocValues::Column*>& cols) -> Status {
+        DocValues::Column* out = nullptr;
+        bool in_undeleted_input = false;
+        for (size_t i = 0; i < pinned.size(); ++i) {
+          if (cols[i] == nullptr) continue;
+          in_undeleted_input |= pinned[i].num_deleted() == 0;
+          for (DocId id = 0; id < maps[i].size(); ++id) {
+            const TypedSlot slot = cols[i]->Slot(id);
+            if (maps[i][id] == kDroppedDoc || slot.is_nothing()) continue;
+            if (out == nullptr) out = seg->doc_values_->GetOrCreate(name);
+            out->SetSlot(maps[i][id], slot);
+          }
+        }
+        if (out != nullptr) return Status::OK();
+        // Only nulls survive: the field exists if a live doc set it null.
+        bool present = in_undeleted_input;
+        if (!present) {
+          ESDB_ASSIGN_OR_RETURN(present, HasLiveExplicitNull(name, pinned, maps,
+                                                             spec, seg->stored_));
+        }
+        if (present) seg->doc_values_->GetOrCreate(name);
+        return Status::OK();
+      }));
+
+  // Inverted indexes: term dictionaries merged in step. A text field
+  // keeps an (empty) index while a live doc holds a string in it.
+  std::vector<const std::map<std::string, InvertedIndex>*> inverted;
+  for (const SegmentView& in : pinned) inverted.push_back(&in->inverted_);
+  ESDB_RETURN_IF_ERROR(ForEachKeyInStep(
+      inverted, [&](const std::string& field,
+                    const std::vector<const InvertedIndex*>& indexes) -> Status {
+        InvertedIndex merged = InvertedIndex::Merge(indexes, maps);
+        bool keep = merged.num_terms() > 0;
+        if (!keep && spec.IsTextField(field)) {
+          const DocValues::Column* col = seg->doc_values_->Find(field);
+          for (DocId id = 0; col != nullptr && id < next && !keep; ++id) {
+            keep = col->Slot(id).tag == SlotTag::kString;
+          }
+        }
+        if (keep) {
+          seg->inverted_.emplace_hint(seg->inverted_.end(), field,
+                                      std::move(merged));
+        }
+        return Status::OK();
+      }));
+
+  // Composite indexes, named and ordered by the spec like the builder.
+  std::vector<const SortedKeyIndex*> composites(pinned.size());
+  for (const std::vector<std::string>& columns : spec.composite_indexes) {
+    std::string name = IndexSpec::CompositeName(columns);
+    if (seg->composites_.count(name) > 0) continue;
+    for (size_t i = 0; i < pinned.size(); ++i) {
+      composites[i] = pinned[i]->CompositeIndex(name);
+      if (composites[i] == nullptr) {
+        return Status::FailedPrecondition(
+            "segment merge: input lacks composite index " + name);
+      }
+    }
+    seg->composites_.emplace(
+        std::move(name), SortedKeyIndex::Merge(columns, composites, maps));
+  }
+
+  std::vector<const AttributeSidecar*> sidecars;
+  sidecars.reserve(pinned.size());
+  for (const SegmentView& in : pinned) {
+    sidecars.push_back(in->attribute_sidecar());
+  }
+  seg->attr_sidecar_ = AttributeSidecar::Merge(sidecars, maps);
+  seg->column_stats_ =
+      std::make_unique<ColumnStats>(ColumnStats::Build(*seg->doc_values_));
+  seg->RecomputeSize();
+  return seg;
+}
+
 // --- SegmentBuilder -------------------------------------------------------
 
 DocId SegmentBuilder::Add(const Document& doc) {
@@ -451,11 +609,12 @@ std::unique_ptr<Segment> SegmentBuilder::Build(uint64_t segment_id) && {
       if (field == kFieldAttributes && value.is_string()) {
         // Frequency-based indexing: only the configured (hot)
         // sub-attributes get inverted-index terms.
+        if (!spec_->IndexesSubAttributes()) continue;
         for (const auto& [key, sub_value] :
-             ParseAttributes(value.as_string())) {
+             ParseAttributeViews(value.as_string())) {
           if (!spec_->IsIndexedSubAttribute(key)) continue;
           seg->inverted_[SubAttributeField(key)].Add(
-              Value(sub_value).EncodeSortable(), id);
+              Value(std::string(sub_value)).EncodeSortable(), id);
         }
         continue;
       }

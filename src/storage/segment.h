@@ -22,6 +22,7 @@ namespace esdb {
 
 class Tombstones;
 class ColdSegment;
+struct SegmentView;
 
 // Immutable index unit, the analog of a Lucene segment file: stored
 // documents, per-field inverted indexes, composite sorted-key indexes
@@ -83,6 +84,24 @@ class Segment {
 
   // Local id of the (unique) doc with this record id, or -1.
   int64_t FindByRecordId(int64_t record_id) const;
+
+  // --- Merge -----------------------------------------------------------
+
+  // Structural merge, the way Lucene's SegmentMerger works: the
+  // segment SegmentBuilder would build under `spec` from the live docs
+  // of `inputs` in order (same Encode() bytes, SizeBytes() and sidecar
+  // lookups), made without re-indexing a document. It copies stored
+  // bytes and live doc-value slots; renumbers postings, composite
+  // entries and record ids past the deleted docs; remaps the attribute
+  // sidecar; and rebuilds only the ColumnStats, from the merged
+  // columns. Cold inputs pin their index part and read stored bytes
+  // from their row blocks; a failed read returns its Status. Inputs
+  // must have been built under `spec` (indexing is copied, not
+  // redone) and, like every shard-store segment, hold each record id
+  // at most once.
+  [[nodiscard]] static Result<std::unique_ptr<Segment>> Merge(
+      const std::vector<SegmentView>& inputs, const IndexSpec& spec,
+      uint64_t segment_id);
 
   // --- Sizing & replication -------------------------------------------
 
@@ -263,8 +282,8 @@ struct SegmentView {
 using ShardView = std::vector<SegmentView>;
 using SegmentSnapshot = std::shared_ptr<const ShardView>;
 
-// Accumulates documents and produces an immutable Segment. Also used
-// by merges (re-adding live docs of the input segments).
+// Accumulates documents and produces an immutable Segment at refresh
+// time (merges use Segment::Merge instead).
 class SegmentBuilder {
  public:
   explicit SegmentBuilder(const IndexSpec* spec) : spec_(spec) {}

@@ -211,30 +211,21 @@ bool ShardStore::MaybeMergeLocked() {
 
 bool ShardStore::RewriteSegmentsLocked(const std::vector<size_t>& picked) {
   const SegmentSnapshot snap = Snapshot();
-  // Only live docs are re-added: the merge folds each input's
+  // Only live docs are carried over: the merge folds each input's
   // tombstone overlay into the merged segment, which therefore
   // carries no overlay of its own. Inputs are read tier-agnostically
-  // (a cold input streams documents block by block through the
+  // (a cold input streams stored bytes block by block through the
   // cache). Any cold read or demotion failure aborts the round with
-  // the epoch untouched — merge failure never loses data.
-  SegmentBuilder builder(spec_);
-  for (size_t pos : picked) {
-    auto pinned = (*snap)[pos].Pinned();
-    if (!pinned.ok()) return false;
-    const SegmentView& view = *pinned;
-    const PostingList live = view.LiveDocs();
-    for (DocId id : live.ids()) {
-      auto doc = view.GetDocument(id);
-      // A failed read (cold block unavailable, corrupt payload) aborts
-      // the whole round: the merged segment REPLACES its inputs, so
-      // skipping the doc would silently drop it from the shard.
-      if (!doc.ok()) return false;
-      builder.Add(*doc);
-    }
-  }
-  merged_docs_total_ += builder.num_docs();
-  std::unique_ptr<Segment> merged =
-      std::move(builder).Build(next_segment_id_++);
+  // the epoch untouched — the merged segment REPLACES its inputs, so
+  // merge failure must never lose data.
+  std::vector<SegmentView> inputs;
+  inputs.reserve(picked.size());
+  for (size_t pos : picked) inputs.push_back((*snap)[pos]);
+  auto built = Segment::Merge(inputs, *spec_, next_segment_id_);
+  if (!built.ok()) return false;
+  ++next_segment_id_;
+  std::unique_ptr<Segment> merged = std::move(*built);
+  merged_docs_total_ += merged->num_docs();
   const bool empty = merged->num_docs() == 0;
   SegmentView wrapped;
   if (!empty) {

@@ -117,7 +117,7 @@ class ShardStore {
 
   // Runs one round of the merge policy; returns true if it merged.
   // Merging folds each input segment's tombstone overlay into the
-  // merged segment (only live docs are re-added), so the overlay is
+  // merged segment (only live docs are carried over), so the overlay is
   // the transient delete representation and merges are the GC.
   // Under tiering, merges are also the tier-transition point: when no
   // ordinary merge is due, segments whose tier disagrees with the
@@ -199,8 +199,9 @@ class ShardStore {
   // behind a refresh or merge holding the writer mutex.
   std::map<int64_t, uint64_t> BufferedTenantCounts() const;
 
-  // Cumulative count of docs (re)indexed by merges — the CPU the
-  // merge mechanism spends (used by replication experiments).
+  // Cumulative count of docs rewritten by merges (Segment::Merge) —
+  // the work the merge mechanism spends (used by replication
+  // experiments).
   uint64_t merged_docs_total() const {
     MutexLock lock(&write_mu_);
     return merged_docs_total_;

@@ -55,12 +55,28 @@ void SortedKeyIndex::Add(std::string key, DocId id) {
 
 void SortedKeyIndex::Seal() {
   assert(!sealed_);
-  std::sort(entries_.begin(), entries_.end(),
-            [](const Entry& a, const Entry& b) {
-              if (a.key != b.key) return a.key < b.key;
-              return a.id < b.id;
-            });
+  std::sort(entries_.begin(), entries_.end());
   sealed_ = true;
+}
+
+SortedKeyIndex SortedKeyIndex::Merge(
+    std::vector<std::string> columns,
+    const std::vector<const SortedKeyIndex*>& inputs,
+    const std::vector<DocIdMap>& maps) {
+  SortedKeyIndex out(std::move(columns));
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    assert(inputs[i]->sealed_);
+    const size_t run = out.entries_.size();
+    for (const Entry& e : inputs[i]->entries_) {
+      if (maps[i][e.id] != kDroppedDoc) {
+        out.entries_.push_back(Entry{e.key, maps[i][e.id]});
+      }
+    }
+    std::inplace_merge(out.entries_.begin(), out.entries_.begin() + run,
+                       out.entries_.end());
+  }
+  out.sealed_ = true;
+  return out;
 }
 
 PostingList SortedKeyIndex::ScanRange(std::string_view lo,

@@ -41,6 +41,14 @@ class SortedKeyIndex {
   void Seal();
   bool sealed() const { return sealed_; }
 
+  // Merge step: the sealed index over the live docs of the sealed
+  // `inputs` (all over `columns`), each input's entries renumbered
+  // through its map. A monotone renumbering keeps each input's
+  // entries sorted, so the runs merge without a re-sort.
+  static SortedKeyIndex Merge(std::vector<std::string> columns,
+                              const std::vector<const SortedKeyIndex*>& inputs,
+                              const std::vector<DocIdMap>& maps);
+
   // Doc ids whose keys fall in [lo, hi) by byte order; result is a
   // sorted, duplicate-free posting list. Requires sealed().
   PostingList ScanRange(std::string_view lo, std::string_view hi) const;
@@ -73,6 +81,11 @@ class SortedKeyIndex {
   struct Entry {
     std::string key;
     DocId id;
+    // Seal's order: key, then doc id.
+    bool operator<(const Entry& other) const {
+      const int c = key.compare(other.key);
+      return c != 0 ? c < 0 : id < other.id;
+    }
   };
 
   std::vector<std::string> columns_;

@@ -308,6 +308,79 @@ TEST_F(MigrationTest, FailNodeRightAfterCutoverLosesNothing) {
   }
 }
 
+// Regression: writes that the source refreshed during a migration are
+// searchable before the cutover, so they must stay searchable after
+// it. The target used to hold its replayed delta unrefreshed, and a
+// cutover hid those writes until the next RefreshAll (COUNT(*) read
+// 140 of 200 here).
+class MigrationVisibilityTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    DistributedEsdb::Options options;
+    options.num_shards = 4;
+    options.store.refresh_doc_count = 0;
+    db_ = std::make_unique<DistributedEsdb>(options);
+    for (NodeId node = 1; node <= 3; ++node) {
+      ASSERT_TRUE(db_->AddNode(node).ok());
+    }
+    Write(0, 100);
+    db_->RefreshAll();
+    // The shard holding most docs: most of the next writes land there.
+    for (ShardId s = 1; s < 4; ++s) {
+      if (db_->MigrationSource(s)->primary()->num_live_docs() >
+          db_->MigrationSource(shard_)->primary()->num_live_docs()) {
+        shard_ = s;
+      }
+    }
+    const NodeId from = db_->PrimaryNodeOf(shard_);
+    ASSERT_TRUE(db_->StartMigration(shard_, from == 1 ? 2 : 1).ok());
+    Write(100, 100);
+  }
+
+  void Write(int64_t first, int64_t n) {
+    for (int64_t i = first; i < first + n; ++i) {
+      ASSERT_TRUE(db_->Insert(MakeLog(1 + i % 7, i, i)).ok());
+    }
+  }
+
+  uint64_t CountAll() {
+    auto r = db_->ExecuteSql("SELECT COUNT(*) FROM t");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->agg_count : 0;
+  }
+
+  std::unique_ptr<DistributedEsdb> db_;
+  ShardId shard_ = 0;
+};
+
+TEST_F(MigrationVisibilityTest, CutoverKeepsRefreshedWritesVisible) {
+  db_->RefreshAll();
+  ASSERT_EQ(CountAll(), 200u);
+  int guard = 0;
+  while (db_->migrator()->active(shard_)) {
+    ASSERT_LT(++guard, 1000);
+    auto phase = db_->migrator()->Drive(shard_);
+    ASSERT_TRUE(phase.ok()) << phase.status().ToString();
+    EXPECT_EQ(CountAll(), 200u) << "after step to "
+                                << MigrationPhaseName(*phase);
+  }
+  ASSERT_EQ(db_->MigrationPhaseOf(shard_), MigrationPhase::kDone);
+  EXPECT_EQ(db_->DriveMigrations(), 0u);
+  EXPECT_EQ(CountAll(), 200u);
+}
+
+TEST_F(MigrationVisibilityTest, CutoverKeepsUnrefreshedWritesBuffered) {
+  // Nothing refreshed since Start: the target publishes no more than
+  // the source did, and the next refresh shows every write.
+  const uint64_t before = CountAll();
+  ASSERT_LT(before, 200u);
+  EXPECT_EQ(db_->DriveMigrations(), 1u);
+  ASSERT_EQ(db_->MigrationPhaseOf(shard_), MigrationPhase::kDone);
+  EXPECT_EQ(CountAll(), before);
+  db_->RefreshAll();
+  EXPECT_EQ(CountAll(), 200u);
+}
+
 // ---------------------------------------------------------------------
 // Fault-injection matrix: one scenario per migrate/* site. Each
 // verifies the documented semantics of its edge AND replays the full
