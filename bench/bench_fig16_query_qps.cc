@@ -38,8 +38,7 @@ constexpr uint64_t kTenants = 10000;
 constexpr int kDocs = 120000;
 constexpr int kQueriesPerRank = 20;
 
-std::unique_ptr<Esdb> BuildCluster(RoutingKind routing,
-                                   bool use_filter_cache = true) {
+std::unique_ptr<Esdb> BuildCluster(RoutingKind routing) {
   Esdb::Options options;
   options.num_shards = kShards;
   options.routing = routing;
@@ -47,7 +46,6 @@ std::unique_ptr<Esdb> BuildCluster(RoutingKind routing,
   options.store.refresh_doc_count = 8192;
   options.balancer.target_share_per_shard = 0.002;
   options.balancer.max_offset = 8;
-  options.use_filter_cache = use_filter_cache;
   auto db = std::make_unique<Esdb>(std::move(options));
 
   WorkloadGenerator::Options wopts;
@@ -195,109 +193,6 @@ void RunThreadSweep(const std::vector<uint32_t>& thread_counts) {
   }
 }
 
-// Scan-heavy broadcast stream for the engine sweep: negated and IN
-// predicates plan as full scans with residual doc-value filters, and
-// the aggregates skip row materialization — so execution time is
-// dominated by exactly the work the batch engine vectorizes (the
-// thread-sweep stream above is index-scan- and merge-bound instead).
-std::vector<std::string> EngineSweepQueries() {
-  std::vector<std::string> sqls;
-  for (int rep = 0; rep < 6; ++rep) {
-    sqls.push_back("SELECT COUNT(*) FROM transaction_logs WHERE status != " +
-                   std::to_string(rep % 5) + " AND quantity >= 5");
-    sqls.push_back(
-        "SELECT COUNT(*) FROM transaction_logs WHERE region IN (1, 3, 5, " +
-        std::to_string(8 + rep) + ") AND flag = 1");
-    sqls.push_back("SELECT MIN(amount) FROM transaction_logs WHERE channel = " +
-                   std::to_string(rep % 8) + " AND flag = 0");
-    sqls.push_back("SELECT * FROM transaction_logs WHERE amount >= " +
-                   std::to_string(920 + rep * 10) +
-                   " AND status = 2 ORDER BY created_time DESC LIMIT 50");
-  }
-  return sqls;
-}
-
-// Row vs vectorized batch execution on the same broadcast stream.
-// The filter cache is disabled for this cluster: it stores post-
-// filter candidate lists, so a warm cache would let the second engine
-// replay the first one's filtering instead of running its own.
-void RunEngineSweep() {
-  bench::PrintHeader(
-      "Execution engine sweep: row vs batch, scan-heavy broadcast, 64 shards");
-  std::unique_ptr<Esdb> db =
-      BuildCluster(RoutingKind::kHash, /*use_filter_cache=*/false);
-  const std::vector<std::string> sqls = EngineSweepQueries();
-
-  // Warm both engines (allocator and page effects).
-  db->SetBatchExecution(false);
-  for (const std::string& sql : sqls) (void)db->ExecuteSql(sql);
-  db->SetBatchExecution(true);
-  for (const std::string& sql : sqls) (void)db->ExecuteSql(sql);
-
-  db->SetBatchExecution(false);
-  std::vector<QueryResult> baseline;
-  baseline.reserve(sqls.size());
-  double row_seconds = 0;
-  {
-    bench::Stopwatch watch;
-    for (const std::string& sql : sqls) {
-      auto result = db->ExecuteSql(sql);
-      if (!result.ok()) {
-        std::fprintf(stderr, "query failed: %s\n",
-                     result.status().ToString().c_str());
-        std::exit(1);
-      }
-      baseline.push_back(std::move(*result));
-    }
-    row_seconds = watch.ElapsedSeconds();
-  }
-
-  db->SetBatchExecution(true);
-  bool identical = true;
-  ExecStats batch_stats;
-  double batch_seconds = 0;
-  {
-    bench::Stopwatch watch;
-    for (size_t i = 0; i < sqls.size(); ++i) {
-      auto result = db->ExecuteSql(sqls[i]);
-      if (!result.ok()) {
-        std::fprintf(stderr, "query failed: %s\n",
-                     result.status().ToString().c_str());
-        std::exit(1);
-      }
-      batch_stats.Add(db->last_stats());
-      const QueryResult& expect = baseline[i];
-      if (result->rows != expect.rows ||
-          result->total_matched != expect.total_matched ||
-          result->agg_count != expect.agg_count ||
-          result->agg_sum != expect.agg_sum ||
-          result->agg_min != expect.agg_min ||
-          result->groups.size() != expect.groups.size()) {
-        identical = false;
-      }
-    }
-    batch_seconds = watch.ElapsedSeconds();
-  }
-
-  std::printf("%-10s %-10s %-10s %-12s\n", "engine", "qps", "speedup",
-              "identical");
-  std::printf("%-10s %-10.0f %-10s %-12s\n", "row",
-              double(sqls.size()) / row_seconds, "1.00x", "baseline");
-  char speedup[32];
-  std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                row_seconds / batch_seconds);
-  std::printf("%-10s %-10.0f %-10s %-12s\n", "batch",
-              double(sqls.size()) / batch_seconds, speedup,
-              identical ? "yes" : "NO (BUG)");
-  std::printf("batch counters: %llu batches, %llu rows late-materialized, "
-              "selectivity %.3f\n",
-              static_cast<unsigned long long>(batch_stats.batches_evaluated),
-              static_cast<unsigned long long>(
-                  batch_stats.rows_late_materialized),
-              batch_stats.Selectivity());
-  if (!identical) std::exit(1);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -321,6 +216,5 @@ int main(int argc, char** argv) {
   bench::PrintHeader("Figure 16: query QPS of ranked tenants (real engine)");
   if (!skip_figure) RunFigure();
   RunThreadSweep(thread_counts);
-  RunEngineSweep();
   return 0;
 }

@@ -3,15 +3,16 @@
 // SQL front end and end-to-end shard queries. These are the unit
 // costs underlying the figure-level benches.
 //
-// Run with --engine=row|batch|both [--quick] to switch into the
-// row-vs-batch execution comparison instead: a scan-heavy query set
-// is timed under both engines, results are checked byte-identical
-// (non-zero exit on divergence), and a JSON summary is written to
-// BENCH_micro_engine.json. Without --engine the google-benchmark
-// suite runs as before.
+// Run with --verify [--quick] to check a scan-heavy query set instead:
+// each query's result must equal, byte for byte, the answer recomputed
+// from the cluster's decoded stored documents (non-zero exit on any
+// divergence); each query is also timed, and a JSON summary is written
+// to BENCH_micro_engine.json. Without --verify the google-benchmark
+// suite runs.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 
@@ -25,6 +26,7 @@
 #include "query/parser.h"
 #include "routing/router.h"
 #include "storage/shard_store.h"
+#include "support/reference_eval.h"
 #include "workload/generator.h"
 
 namespace esdb {
@@ -309,7 +311,7 @@ BENCHMARK_F(ShardQueryFixture, GroupByStatus)(benchmark::State& state) {
 
 }  // namespace
 
-// --- Row-vs-batch engine comparison (--engine=...) -------------------------
+// --- Result check against stored documents (--verify) ----------------------
 
 namespace {
 
@@ -319,9 +321,9 @@ struct LabeledSql {
 };
 
 // Scan-heavy shapes: every query funnels candidates through doc-value
-// filtering (the path the batch engine vectorizes), spanning range,
-// IN, negation, cross-type, sub-attribute, aggregate, group-by and
-// late-materialized row fetches.
+// filtering (the filter programs' typed fast paths and generic slot
+// loop), spanning range, IN, negation, cross-type, sub-attribute,
+// aggregate, group-by and late-materialized row fetches.
 std::vector<LabeledSql> EngineQuerySet() {
   return {
       {"count_amount_band",
@@ -353,16 +355,17 @@ std::vector<LabeledSql> EngineQuerySet() {
 
 std::string ValueDigest(const Value& v) {
   // Value::operator== compares across int/double (1 == 1.0), so the
-  // digest tags the concrete type to catch engine drift it would mask.
+  // digest tags the concrete type to catch drift it would mask.
   return std::to_string(int(v.type())) + ":" + v.EncodeSortable();
 }
 
 // Byte-exact fingerprint of a query result: row order, row bytes,
-// aggregate types and group contents all participate.
+// aggregate types and group contents all participate. The match count
+// is left out: an early-terminated plan reports a lower bound, which
+// the caller checks on its own.
 std::string ResultDigest(const QueryResult& r) {
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "%llu|%llu|%.17g|",
-                (unsigned long long)r.total_matched,
+  std::snprintf(buf, sizeof(buf), "%llu|%.17g|",
                 (unsigned long long)r.agg_count, r.agg_sum);
   std::string d = buf;
   if (r.agg_min) d += "min=" + ValueDigest(*r.agg_min) + "|";
@@ -381,16 +384,62 @@ std::string ResultDigest(const QueryResult& r) {
   return d;
 }
 
+// The answer recomputed from stored documents alone: every shard's
+// pinned snapshot is walked in ordinal, segment and doc-id order, each
+// live doc is decoded with GetDocument and WHERE is evaluated on it
+// (tests/support/reference_eval.h). Aggregates fold per doc within a
+// shard and merge across shards in order, as the coordinator merges
+// them; rows sort stably, then offset and limit apply (every query in
+// the set selects *). Hash routing keeps a tenant on one shard, so walking every
+// shard visits a tenant query's rows in its fan-out order.
+QueryResult ReferenceResult(Esdb* db, const Query& query) {
+  QueryResult out;
+  std::vector<Document> rows;
+  for (ShardId shard = 0; shard < db->num_shards(); ++shard) {
+    QueryResult local;
+    const SegmentSnapshot snapshot = db->shard(shard)->Snapshot();
+    for (const SegmentView& view : *snapshot) {
+      for (DocId id = 0; id < DocId(view.num_docs()); ++id) {
+        if (view.IsDeleted(id)) continue;
+        auto doc = view.GetDocument(id);
+        if (!doc.ok()) {
+          std::fprintf(stderr, "GetDocument failed: %s\n",
+                       doc.status().ToString().c_str());
+          std::exit(1);
+        }
+        if (query.where != nullptr &&
+            !EvalWhereOnDocument(*query.where, *doc)) {
+          continue;
+        }
+        if (query.agg == AggFunc::kNone) {
+          ++local.total_matched;
+          rows.push_back(std::move(*doc));
+          continue;
+        }
+        ReferenceFoldDocument(query, *doc, &local);
+      }
+    }
+    ReferenceMergeShard(local, &out);
+  }
+  std::stable_sort(rows.begin(), rows.end(),
+                   [&](const Document& a, const Document& b) {
+                     return ReferenceOrderLess(query, a, b);
+                   });
+  const size_t skip = std::min(size_t(query.offset), rows.size());
+  rows.erase(rows.begin(), rows.begin() + long(skip));
+  if (query.limit >= 0 && int64_t(rows.size()) > query.limit) {
+    rows.resize(size_t(query.limit));
+  }
+  out.rows = std::move(rows);
+  return out;
+}
+
 struct QueryRun {
   const char* label = nullptr;
-  std::string sql;
-  double row_seconds = 0;
-  double batch_seconds = 0;
+  double seconds = 0;
   bool identical = true;
   uint64_t total_matched = 0;
-  // Batch-engine counters for this query (one execution).
   uint64_t batches_evaluated = 0;
-  uint64_t rows_late_materialized = 0;
   double selectivity = 0;
 };
 
@@ -413,8 +462,7 @@ double TimeQuery(Esdb* db, const std::string& sql, int rounds) {
   return watch.ElapsedSeconds();
 }
 
-void WriteEngineJson(const std::string& engine, bool quick, uint64_t docs,
-                     int rounds, bool identical,
+void WriteVerifyJson(bool quick, uint64_t docs, int rounds, bool identical,
                      const std::vector<QueryRun>& runs) {
   const char* path = "BENCH_micro_engine.json";
   std::FILE* f = std::fopen(path, "w");
@@ -423,51 +471,30 @@ void WriteEngineJson(const std::string& engine, bool quick, uint64_t docs,
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"micro_engine\",\n");
-  std::fprintf(f, "  \"mode\": \"engine_comparison\",\n");
-  std::fprintf(f, "  \"engine\": \"%s\",\n  \"quick\": %s,\n", engine.c_str(),
+  std::fprintf(f, "  \"mode\": \"verify\",\n  \"quick\": %s,\n",
                quick ? "true" : "false");
   std::fprintf(f, "  \"docs\": %llu,\n  \"rounds\": %d,\n",
                (unsigned long long)docs, rounds);
-  std::fprintf(f, "  \"identical_row_vs_batch\": %s,\n",
+  std::fprintf(f, "  \"identical_to_stored_docs\": %s,\n",
                identical ? "true" : "false");
   std::fprintf(f, "  \"queries\": [\n");
-  double row_total = 0, batch_total = 0;
   for (size_t i = 0; i < runs.size(); ++i) {
     const QueryRun& q = runs[i];
-    row_total += q.row_seconds;
-    batch_total += q.batch_seconds;
-    std::fprintf(f, "    {\"label\": \"%s\", \"matched\": %llu", q.label,
-                 (unsigned long long)q.total_matched);
-    if (q.row_seconds > 0) {
-      std::fprintf(f, ", \"row_seconds\": %.6f", q.row_seconds);
-    }
-    if (q.batch_seconds > 0) {
-      std::fprintf(f, ", \"batch_seconds\": %.6f", q.batch_seconds);
-      std::fprintf(f,
-                   ", \"batches_evaluated\": %llu, "
-                   "\"rows_late_materialized\": %llu, "
-                   "\"selectivity\": %.4f",
-                   (unsigned long long)q.batches_evaluated,
-                   (unsigned long long)q.rows_late_materialized,
-                   q.selectivity);
-    }
-    if (q.row_seconds > 0 && q.batch_seconds > 0) {
-      std::fprintf(f, ", \"speedup\": %.2f", q.row_seconds / q.batch_seconds);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < runs.size() ? "," : "");
+    std::fprintf(f,
+                 "    {\"label\": \"%s\", \"matched\": %llu, "
+                 "\"seconds\": %.6f, \"batches_evaluated\": %llu, "
+                 "\"selectivity\": %.4f, \"identical\": %s}%s\n",
+                 q.label, (unsigned long long)q.total_matched, q.seconds,
+                 (unsigned long long)q.batches_evaluated, q.selectivity,
+                 q.identical ? "true" : "false",
+                 i + 1 < runs.size() ? "," : "");
   }
-  std::fprintf(f, "  ]");
-  if (row_total > 0 && batch_total > 0) {
-    std::fprintf(f, ",\n  \"total_speedup\": %.2f", row_total / batch_total);
-  }
-  std::fprintf(f, "\n}\n");
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
 }
 
-int RunEngineComparison(const std::string& engine, bool quick) {
-  const bool run_row = engine == "row" || engine == "both";
-  const bool run_batch = engine == "batch" || engine == "both";
+int RunVerify(bool quick) {
   const uint64_t docs = quick ? 12000 : 50000;
   const int rounds = quick ? 3 : 20;
 
@@ -475,9 +502,8 @@ int RunEngineComparison(const std::string& engine, bool quick) {
   options.num_shards = 8;
   options.routing = RoutingKind::kHash;
   options.store.refresh_doc_count = 8192;
-  // The filter cache stores post-filter candidate lists, so with it on
-  // the second engine would replay the first engine's filtering work
-  // instead of exercising its own path. Keep both runs honest.
+  // Timed rounds repeat each query; the filter cache would replay the
+  // first round's filtering instead of timing it.
   options.use_filter_cache = false;
   Esdb db(std::move(options));
 
@@ -489,80 +515,45 @@ int RunEngineComparison(const std::string& engine, bool quick) {
   }
   db.RefreshAll();
 
-  bench::PrintHeader("micro_engine: row vs batch execution (" +
+  bench::PrintHeader("micro_engine: scan-heavy queries vs stored documents (" +
                      std::to_string(docs) + " docs, " +
                      std::to_string(rounds) + " rounds)");
-  std::printf("%-24s %10s %10s %8s %8s %6s %s\n", "query", "row_qps",
-              "batch_qps", "speedup", "batches", "sel", "identical");
+  std::printf("%-24s %10s %10s %8s %6s %s\n", "query", "qps", "matched",
+              "batches", "sel", "identical");
 
   bool all_identical = true;
   std::vector<QueryRun> runs;
   for (const LabeledSql& q : EngineQuerySet()) {
     QueryRun run;
     run.label = q.label;
-    run.sql = q.sql;
+    auto query = ParseSql(q.sql);
+    if (!query.ok()) {
+      std::fprintf(stderr, "parse failed: %s\n", q.sql.c_str());
+      return 1;
+    }
+    const QueryResult got = MustExecute(&db, q.sql);
+    const QueryResult want = ReferenceResult(&db, *query);
+    run.total_matched = got.total_matched;
+    run.identical =
+        ResultDigest(got) == ResultDigest(want) &&
+        (got.total_matched_exact ? got.total_matched == want.total_matched
+                                 : got.total_matched <= want.total_matched);
+    all_identical = all_identical && run.identical;
+    const ExecStats stats = db.last_stats();
+    run.batches_evaluated = stats.batches_evaluated;
+    run.selectivity = stats.Selectivity();
+    run.seconds = TimeQuery(&db, q.sql, rounds);
 
-    // Warm both engines (allocator/page effects) and capture digests
-    // plus the batch counters off the warm executions.
-    std::string row_digest, batch_digest;
-    if (run_row) {
-      db.SetBatchExecution(false);
-      QueryResult r = MustExecute(&db, q.sql);
-      row_digest = ResultDigest(r);
-      run.total_matched = r.total_matched;
-    }
-    if (run_batch) {
-      db.SetBatchExecution(true);
-      QueryResult r = MustExecute(&db, q.sql);
-      batch_digest = ResultDigest(r);
-      run.total_matched = r.total_matched;
-      const ExecStats stats = db.last_stats();
-      run.batches_evaluated = stats.batches_evaluated;
-      run.rows_late_materialized = stats.rows_late_materialized;
-      run.selectivity = stats.Selectivity();
-    }
-    if (run_row && run_batch) {
-      run.identical = row_digest == batch_digest;
-      all_identical = all_identical && run.identical;
-    }
-
-    if (run_row) {
-      db.SetBatchExecution(false);
-      run.row_seconds = TimeQuery(&db, q.sql, rounds);
-    }
-    if (run_batch) {
-      db.SetBatchExecution(true);
-      run.batch_seconds = TimeQuery(&db, q.sql, rounds);
-    }
-
-    const double row_qps =
-        run.row_seconds > 0 ? rounds / run.row_seconds : 0;
-    const double batch_qps =
-        run.batch_seconds > 0 ? rounds / run.batch_seconds : 0;
-    const double speedup = (row_qps > 0 && batch_qps > 0)
-                               ? run.row_seconds / run.batch_seconds
-                               : 0;
-    std::printf("%-24s %10.0f %10.0f %7.2fx %8llu %6.2f %s\n", run.label,
-                row_qps, batch_qps, speedup,
+    std::printf("%-24s %10.0f %10llu %8llu %6.2f %s\n", run.label,
+                run.seconds > 0 ? rounds / run.seconds : 0,
+                (unsigned long long)run.total_matched,
                 (unsigned long long)run.batches_evaluated, run.selectivity,
-                run_row && run_batch ? (run.identical ? "yes" : "NO") : "-");
-    runs.push_back(std::move(run));
+                run.identical ? "yes" : "NO");
+    runs.push_back(run);
   }
-
-  if (run_row && run_batch) {
-    double row_total = 0, batch_total = 0;
-    for (const QueryRun& q : runs) {
-      row_total += q.row_seconds;
-      batch_total += q.batch_seconds;
-    }
-    std::printf("total: row %.3fs, batch %.3fs, speedup %.2fx, %s\n",
-                row_total, batch_total,
-                batch_total > 0 ? row_total / batch_total : 0,
-                all_identical ? "results byte-identical"
-                              : "RESULTS DIVERGED");
-  }
-
-  WriteEngineJson(engine, quick, docs, rounds, all_identical, runs);
+  std::printf("%s\n", all_identical ? "results match stored documents"
+                                    : "RESULTS DIVERGED FROM STORED DOCUMENTS");
+  WriteVerifyJson(quick, docs, rounds, all_identical, runs);
   return all_identical ? 0 : 1;
 }
 
@@ -570,23 +561,16 @@ int RunEngineComparison(const std::string& engine, bool quick) {
 }  // namespace esdb
 
 int main(int argc, char** argv) {
-  std::string engine;
+  bool verify = false;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      engine = argv[i] + 9;
+    if (std::strcmp(argv[i], "--verify") == 0) {
+      verify = true;
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     }
   }
-  if (!engine.empty()) {
-    if (engine != "row" && engine != "batch" && engine != "both") {
-      std::fprintf(stderr, "unknown --engine=%s (want row|batch|both)\n",
-                   engine.c_str());
-      return 2;
-    }
-    return esdb::RunEngineComparison(engine, quick);
-  }
+  if (verify) return esdb::RunVerify(quick);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

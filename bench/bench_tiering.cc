@@ -23,8 +23,7 @@
 // Correctness gates (the only thing that affects the exit code, in
 // --quick and full mode alike):
 //   * identity: every probe query answers byte-identically on the
-//     hot engine, the cold engine, and the cold engine with batch
-//     execution on;
+//     hot engine and the cold engine;
 //   * accounting: each breakdown's components sum to total(), the
 //     cold engine's cold_bytes are nonzero, resident shrank, and
 //     the cold files on disk match cold_bytes.
@@ -254,16 +253,9 @@ int main(int argc, char** argv) {
       ProbeLatencySec(&tiered, tenant_probes, cfg.latency_rounds);
   const BlockCache::Stats cache_stats = tiered.block_cache()->stats();
 
-  // Batch engine on the cold tier answers identically too.
-  tiered.SetBatchExecution(true);
-  const std::vector<std::string> cold_batch_prints =
-      RunProbes(&tiered, probes, nullptr);
-  tiered.SetBatchExecution(false);
-
   // --- Gates ------------------------------------------------------------
   std::printf("gates:\n");
   Gate(hot_prints == cold_prints, "hot/cold query identity");
-  Gate(hot_prints == cold_batch_prints, "cold row/batch engine identity");
   Gate(hot_size.total() ==
            hot_size.resident_bytes + hot_size.translog_bytes +
                hot_size.cold_bytes,

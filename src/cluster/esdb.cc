@@ -7,7 +7,6 @@ namespace esdb {
 
 Esdb::Esdb(Options options)
     : options_(std::move(options)),
-      batch_execution_(options_.batch_execution),
       routing_(MakeRoutingPolicy(options_.routing, options_.num_shards,
                                  options_.double_hash_offset)),
       dynamic_(dynamic_cast<DynamicSecondaryHashing*>(routing_.get())),
@@ -136,13 +135,11 @@ Result<QueryResult> Esdb::ExecuteSql(std::string_view sql) {
 QueryCoordinator::Call Esdb::QueryCall(const PlannerOptions& planner) {
   // The call pins the query pool (a shared_ptr copy taken under
   // pool_mu_), so a concurrent SetQueryThreads can never destroy it
-  // while our tasks are on it. The engine choice is sampled once per
-  // query so a concurrent SetBatchExecution cannot split one query
-  // across engines.
+  // while our tasks are on it.
   MutexLock lock(&pool_mu_);
   return {planner, query_pool_,
           options_.use_filter_cache ? &filter_cache_ : nullptr,
-          ExecOptions{batch_execution()}, tier_admission_.get()};
+          tier_admission_.get()};
 }
 
 Result<std::string> Esdb::ExplainSql(std::string_view sql) {

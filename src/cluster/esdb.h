@@ -1,7 +1,6 @@
 #ifndef ESDB_CLUSTER_ESDB_H_
 #define ESDB_CLUSTER_ESDB_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,12 +64,6 @@ class Esdb {
     // keys from all shards, merge globally, fetch only the winners.
     // Aggregates and group-bys always run single-phase.
     bool two_phase_queries = true;
-    // Vectorized batch execution (src/query/batch/): doc-value
-    // filtering and sort-key resolution run batch-at-a-time over the
-    // frozen typed columns instead of row-at-a-time. Results are
-    // byte-identical to the row engine; off by default. Aggregates
-    // always run the one slot-based fold (batch::Aggregator).
-    bool batch_execution = false;
     // Per-segment filter cache for repeated (cacheable) plans.
     bool use_filter_cache = true;
     FilterCache::Options filter_cache;
@@ -162,15 +155,10 @@ class Esdb {
   void SetMaintenanceThreads(uint32_t n);
   uint32_t maintenance_threads() const { return options_.maintenance_threads; }
 
-  // Switches the execution engine (row vs vectorized batch). Safe to
-  // toggle while queries are in flight: each query samples the flag
-  // once at entry, and both engines produce identical results.
-  void SetBatchExecution(bool on) {
-    batch_execution_.store(on, std::memory_order_relaxed);
-  }
-  bool batch_execution() const {
-    return batch_execution_.load(std::memory_order_relaxed);
-  }
+  // Always true: queries run one engine, the slot path of
+  // src/query/batch/. Kept only for perfbench/bench.cc, which still
+  // reads it; it goes with the next change to the benchmark.
+  bool batch_execution() const { return true; }
 
   // --- Balancing ------------------------------------------------------
 
@@ -230,8 +218,8 @@ class Esdb {
  private:
   ShardStore* Primary(ShardId id);
   const ShardStore* Primary(ShardId id) const;
-  // A coordinator call lent this instance's query pool, filter cache,
-  // engine flag and tier admission.
+  // A coordinator call lent this instance's query pool, filter cache
+  // and tier admission.
   QueryCoordinator::Call QueryCall(const PlannerOptions& planner);
   // Commits balancer proposals as one copy-on-write rule-list update.
   void PublishProposals(Micros effective_time,
@@ -243,7 +231,6 @@ class Esdb {
   // one shards_ slot), which callers serialize. pool_mu_ guards only
   // what it annotates.
   Options options_;  // lint:unguarded(thread-count fields mutated only by serialized admin Set*Threads)
-  std::atomic<bool> batch_execution_;
   std::unique_ptr<RoutingPolicy> routing_;  // lint:unguarded(fixed at construction)
   DynamicSecondaryHashing* dynamic_ = nullptr;  // owned by routing_  lint:unguarded(fixed at construction)
   // Either plain stores or replicated shards, by options.

@@ -153,7 +153,7 @@ Result<QueryResult> QueryCoordinator::Run(const Query& query,
       ESDB_ASSIGN_OR_RETURN(
           s.refs, ExecuteQueryPhase(query, plan, *p.snapshots[i], uint32_t(i),
                                     &s.stats, &s.matched, &s.exact,
-                                    call.cache, p.targets[i], call.exec));
+                                    call.cache, p.targets[i]));
       return Status::OK();
     }));
     QueryResult result;
@@ -180,7 +180,7 @@ Result<QueryResult> QueryCoordinator::Run(const Query& query,
     }
     ESDB_ASSIGN_OR_RETURN(result.rows,
                           ExecuteFetchPhase(query, p.snapshots, all_refs,
-                                            stats, call.exec));
+                                            stats));
     ProjectRows(query, &result.rows);
     return result;
   }
@@ -192,7 +192,7 @@ Result<QueryResult> QueryCoordinator::Run(const Query& query,
     ESDB_ASSIGN_OR_RETURN(
         shard_results[i],
         ExecuteOnShard(query, plan, *p.snapshots[i], &shard_stats[i],
-                       call.cache, p.targets[i], call.exec));
+                       call.cache, p.targets[i]));
     return Status::OK();
   }));
   for (const ExecStats& shard : shard_stats) stats->Add(shard);

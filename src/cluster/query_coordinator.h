@@ -37,7 +37,6 @@ class QueryCoordinator {
     // Keys on (shard id, shard-local segment id): only sound while
     // every shard id keeps naming the same store.
     FilterCache* cache = nullptr;
-    ExecOptions exec{};
     TierAdmission* admission = nullptr;  // RecordQuery per target shard
   };
 

@@ -82,7 +82,7 @@ FilterProgram::FilterProgram(const Segment& segment,
 //    NaN-compares-equal quirk of Value::Compare (a<b?-1:(a>b?1:0)
 //    yields 0 for NaN pairs) — the DoubleRange loop therefore tests
 //    with negated comparisons (!(x < lo)) instead of (x >= lo) so
-//    NaN columns and NaN bounds behave identically to the row engine.
+//    NaN columns and NaN bounds behave exactly as Predicate::Eval.
 void FilterProgram::Specialize(Step* s) {
   if (s->source.column == nullptr) return;  // sidecar reads stay generic
   const SlotTag utag = s->source.column->uniform_tag();

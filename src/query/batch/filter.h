@@ -24,9 +24,8 @@ inline constexpr size_t kBatchSize = 1024;
 // Physical source of one field's values in a frozen segment: a doc-
 // values column, a decoded sub-attribute (attributes.<key> through
 // the sidecar), or nothing (the field is absent from the segment —
-// every read is Nothing). Resolved ONCE per (query, segment); the
-// old row engine redid the map lookup (and an attributes string
-// parse) per (doc, predicate).
+// every read is Nothing). Resolved ONCE per (query, segment), not per
+// (doc, predicate).
 struct SlotSource {
   const DocValues::Column* column = nullptr;
   const AttributeSidecar* sidecar = nullptr;
@@ -95,7 +94,8 @@ class FilterProgram {
 };
 
 // Batch-filters `candidates` through `filters`, appending survivors
-// in order — byte-identical to the row engine's ApplyFilters.
+// in order: exactly the candidates whose slots pass Predicate::Eval
+// under each filter's negation.
 // Updates stats: docs_filtered (rows in), batches_evaluated,
 // batch_rows_passed (rows out).
 PostingList FilterPostings(const Segment& segment,

@@ -22,8 +22,8 @@ using ::esdb::TypedSlot;
 
 // Predicate evaluation on a slot: produces exactly the same result as
 // Predicate::Eval on the materialized Value, without constructing
-// one. The batch engine's parity contract leans on this equivalence
-// (asserted by the randomized fuzzer in tests/batch_executor_test.cc).
+// one. Every filter's generic path leans on this equivalence
+// (asserted by SlotMirrorTest in tests/batch_executor_test.cc).
 bool EvalPredSlot(const Predicate& pred, const TypedSlot& slot);
 
 }  // namespace batch

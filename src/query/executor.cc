@@ -9,58 +9,22 @@
 
 namespace esdb {
 
-Value ResolveFieldValue(const Segment& segment, DocId id,
-                        const std::string& field) {
-  const DocValues::Column* col = segment.doc_values().Find(field);
-  if (col != nullptr) return col->Get(id);
-  // Virtual sub-attribute column "attributes.<key>", answered from the
-  // segment's decoded sidecar (no per-lookup string parsing).
-  const size_t dot = field.find('.');
-  if (dot != std::string::npos &&
-      field.compare(0, dot, kFieldAttributes) == 0) {
-    const AttributeSidecar* sidecar = segment.attribute_sidecar();
-    if (sidecar != nullptr) {
-      const std::string* v =
-          sidecar->GetByName(id, std::string_view(field).substr(dot + 1));
-      if (v != nullptr) return Value(*v);
-    }
-  }
-  return Value::Null();
-}
-
 namespace {
 
-// Row-engine filter pass with per-filter field resolution hoisted out
-// of the per-doc loop (one column/key-id lookup per filter, not one
-// per (doc, filter) pair).
-bool PassesFilters(DocId id, const std::vector<FilterPred>& filters,
-                   const std::vector<batch::SlotSource>& sources) {
-  for (size_t i = 0; i < filters.size(); ++i) {
-    const Value v = batch::SlotToValue(sources[i].Read(id));
-    const bool hit = filters[i].pred.Eval(v);
-    if (hit == filters[i].negated) return false;
-  }
-  return true;
+// The one field resolver: a column of a document inside a segment,
+// read through its slot source, so "attributes.<key>" virtual columns
+// read the segment's decoded sidecar.
+Value ResolveFieldValue(const Segment& segment, DocId id,
+                        const std::string& field) {
+  return batch::SlotToValue(
+      batch::SlotSource::Resolve(segment, field).Read(id));
 }
 
 PostingList ApplyFilters(const Segment& segment, PostingList candidates,
                          const std::vector<FilterPred>& filters,
-                         ExecStats* stats, const ExecOptions& opts) {
-  if (filters.empty()) return candidates;
-  if (opts.batch_execution) {
-    return batch::FilterPostings(segment, candidates, filters, stats);
-  }
-  std::vector<batch::SlotSource> sources;
-  sources.reserve(filters.size());
-  for (const FilterPred& f : filters) {
-    sources.push_back(batch::SlotSource::Resolve(segment, f.pred.column));
-  }
-  PostingList out;
-  for (DocId id : candidates.ids()) {
-    ++stats->docs_filtered;
-    if (PassesFilters(id, filters, sources)) out.Append(id);
-  }
-  return out;
+                         ExecStats* stats) {
+  if (filters.empty() || candidates.empty()) return candidates;
+  return batch::FilterPostings(segment, candidates, filters, stats);
 }
 
 // ORDER-BY/LIMIT pushdown (kIndexTopK): walk the composite index in
@@ -84,11 +48,9 @@ Result<PostingList> EvalIndexTopK(const PlanNode& plan, const SegmentView& view,
     stats->rows_skipped_by_pushdown += range_total;
     return PostingList();
   }
-  std::vector<batch::SlotSource> sources;
-  sources.reserve(plan.filters.size());
-  for (const FilterPred& f : plan.filters) {
-    sources.push_back(batch::SlotSource::Resolve(segment, f.pred.column));
-  }
+  // Visited entries arrive one at a time in key order, so the residual
+  // filters run as a one-id batch through the segment's program.
+  const batch::FilterProgram program(segment, plan.filters);
   // The ORDER-BY column is the one right after the equality prefix;
   // its encoded bytes end at this many column terminators.
   const size_t ncols = size_t(plan.eq_prefix_len) + 1;
@@ -107,7 +69,11 @@ Result<PostingList> EvalIndexTopK(const PlanNode& plan, const SegmentView& view,
         if (view.IsDeleted(id)) return true;
         if (!plan.filters.empty()) {
           ++stats->docs_filtered;
-          if (!PassesFilters(id, plan.filters, sources)) return true;
+          DocId one = id;
+          if (program.trivially_empty() || program.EvalBatch(&one, 1) == 0) {
+            return true;
+          }
+          ++stats->batch_rows_passed;
         }
         ids.push_back(id);
         if (!bounded && ++matches >= plan.topk_cap) {
@@ -125,7 +91,7 @@ Result<PostingList> EvalIndexTopK(const PlanNode& plan, const SegmentView& view,
 }  // namespace
 
 Result<PostingList> EvalPlan(const PlanNode& plan, const SegmentView& view,
-                             ExecStats* stats, const ExecOptions& opts) {
+                             ExecStats* stats) {
   const Segment& segment = *view;
   switch (plan.kind) {
     case PlanNode::Kind::kEmpty:
@@ -136,8 +102,7 @@ Result<PostingList> EvalPlan(const PlanNode& plan, const SegmentView& view,
       // live set shrinks as later epochs add tombstones).
       PostingList live = view.LiveDocs();
       stats->postings_considered += live.size();
-      return ApplyFilters(segment, std::move(live), plan.filters, stats,
-                          opts);
+      return ApplyFilters(segment, std::move(live), plan.filters, stats);
     }
     case PlanNode::Kind::kTermLookup: {
       std::vector<const PostingList*> lists;
@@ -169,16 +134,14 @@ Result<PostingList> EvalPlan(const PlanNode& plan, const SegmentView& view,
     }
     case PlanNode::Kind::kDocValueFilter: {
       ESDB_ASSIGN_OR_RETURN(PostingList child,
-                            EvalPlan(*plan.children[0], view, stats, opts));
-      return ApplyFilters(segment, std::move(child), plan.filters, stats,
-                          opts);
+                            EvalPlan(*plan.children[0], view, stats));
+      return ApplyFilters(segment, std::move(child), plan.filters, stats);
     }
     case PlanNode::Kind::kIntersect: {
       std::vector<PostingList> lists;
       lists.reserve(plan.children.size());
       for (const auto& c : plan.children) {
-        ESDB_ASSIGN_OR_RETURN(PostingList child,
-                              EvalPlan(*c, view, stats, opts));
+        ESDB_ASSIGN_OR_RETURN(PostingList child, EvalPlan(*c, view, stats));
         if (child.empty()) return PostingList();
         lists.push_back(std::move(child));
       }
@@ -194,8 +157,7 @@ Result<PostingList> EvalPlan(const PlanNode& plan, const SegmentView& view,
       std::vector<PostingList> lists;
       lists.reserve(plan.children.size());
       for (const auto& c : plan.children) {
-        ESDB_ASSIGN_OR_RETURN(PostingList child,
-                              EvalPlan(*c, view, stats, opts));
+        ESDB_ASSIGN_OR_RETURN(PostingList child, EvalPlan(*c, view, stats));
         if (!child.empty()) lists.push_back(std::move(child));
       }
       std::vector<const PostingList*> ptrs;
@@ -211,11 +173,14 @@ Result<PostingList> EvalPlan(const PlanNode& plan, const SegmentView& view,
       // Reaching plan evaluation means the stats fast path did not
       // apply to this segment (tombstones present, or a row query);
       // fall back to the wrapped scan plan, which is always correct.
-      return EvalPlan(*plan.children[0], view, stats, opts);
+      return EvalPlan(*plan.children[0], view, stats);
   }
   return Status::Internal("unknown plan node");
 }
 
+namespace {
+
+// True when the query sorts by or selects _score (scoring must run).
 bool NeedsScoring(const Query& query) {
   for (const OrderBy& ob : query.order_by) {
     if (ob.column == kFieldScore) return true;
@@ -227,8 +192,6 @@ bool NeedsScoring(const Query& query) {
   }
   return false;
 }
-
-namespace {
 
 // Walks `e` collecting MATCH predicates (negated matches do not
 // contribute to relevance, mirroring Lucene's must_not).
@@ -248,67 +211,122 @@ void CollectMatches(const Expr& e, bool negated,
   }
 }
 
-}  // namespace
+// BM25 corpus statistics of one query over one pinned shard snapshot.
+// N and every document frequency count the snapshot's live docs, so
+// the statistics — and every _score — do not depend on how refreshes,
+// merges or migrations cut those docs into segments.
+struct ScoreStats {
+  struct Match {
+    const std::string* column = nullptr;  // into the query's WHERE
+    std::vector<std::string> tokens;      // query tokens, in order
+    std::vector<double> doc_freq;         // live docs holding each token
+  };
+  std::vector<Match> matches;
+  double num_docs = 0;
+};
 
-namespace {
-
-// Relevance score without decoding the stored document: the MATCH
-// columns' text is read from doc values into a scratch doc. Produces
-// the same value as ScoreDocument on the materialized document (the
-// doc-value column holds the identical field text).
-double ScoreFromDocValues(const Segment& segment, DocId id,
-                          const Expr* where) {
-  if (where == nullptr) return 0;
-  std::vector<const Predicate*> matches;
-  CollectMatches(*where, false, &matches);
-  if (matches.empty()) return 0;
-  Document scratch;
-  for (const Predicate* match : matches) {
-    scratch.Set(match->column, ResolveFieldValue(segment, id, match->column));
+Result<ScoreStats> CollectScoreStats(const Expr* where,
+                                     const ShardView& snapshot) {
+  ScoreStats out;
+  std::vector<const Predicate*> preds;
+  if (where != nullptr) CollectMatches(*where, false, &preds);
+  for (const Predicate* pred : preds) {
+    if (!pred->args[0].is_string()) continue;
+    ScoreStats::Match match;
+    match.column = &pred->column;
+    match.tokens = Tokenize(pred->args[0].as_string());
+    match.doc_freq.assign(match.tokens.size(), 0);
+    out.matches.push_back(std::move(match));
   }
-  return ScoreDocument(segment, scratch, where);
+  if (out.matches.empty()) return out;
+  for (const SegmentView& raw : snapshot) {
+    ESDB_ASSIGN_OR_RETURN(const SegmentView view, raw.Pinned());
+    out.num_docs += double(view.num_live_docs());
+    for (ScoreStats::Match& match : out.matches) {
+      for (size_t t = 0; t < match.tokens.size(); ++t) {
+        const PostingList& list =
+            view->Postings(*match.column, match.tokens[t]);
+        size_t live = list.size();
+        if (view.num_deleted() != 0) {
+          for (DocId id : list.ids()) live -= view.IsDeleted(id) ? 1 : 0;
+        }
+        match.doc_freq[t] += double(live);
+      }
+    }
+  }
+  return out;
 }
 
-}  // namespace
-
-double ScoreDocument(const Segment& segment, const Document& doc,
-                     const Expr* where) {
-  if (where == nullptr) return 0;
-  std::vector<const Predicate*> matches;
-  CollectMatches(*where, false, &matches);
-  if (matches.empty()) return 0;
-
+// Relevance of `doc` against the query's MATCH predicates:
+//   score = sum over query tokens of idf(t) * tf / (tf + k1)
+// with idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)) from `corpus`,
+// and tf counted by re-analyzing the doc's text.
+double ScoreDocument(const ScoreStats& corpus, const Document& doc) {
   constexpr double kK1 = 1.2;  // BM25 term-frequency saturation
-  const double num_docs = double(segment.num_docs());
   double score = 0;
-  for (const Predicate* match : matches) {
-    if (!match->args[0].is_string()) continue;
-    const Value& field_value = doc.Get(match->column);
+  for (const ScoreStats::Match& match : corpus.matches) {
+    const Value& field_value = doc.Get(*match.column);
     if (!field_value.is_string()) continue;
     const std::vector<std::string> doc_tokens =
         Tokenize(field_value.as_string());
-    for (const std::string& token : Tokenize(match->args[0].as_string())) {
+    for (size_t i = 0; i < match.tokens.size(); ++i) {
       double tf = 0;
       for (const std::string& t : doc_tokens) {
-        if (t == token) tf += 1;
+        if (t == match.tokens[i]) tf += 1;
       }
       if (tf == 0) continue;
-      const double df = double(segment.Postings(match->column, token).size());
-      const double idf = std::log(1.0 + (num_docs - df + 0.5) / (df + 0.5));
+      const double df = match.doc_freq[i];
+      const double idf =
+          std::log(1.0 + (corpus.num_docs - df + 0.5) / (df + 0.5));
       score += idf * tf / (tf + kK1);
     }
   }
   return score;
 }
 
+// Relevance score without decoding the stored document: the MATCH
+// columns' text is read from doc values into a scratch doc. Produces
+// the same value as ScoreDocument on the materialized document (the
+// doc-value column holds the identical field text).
+double ScoreFromDocValues(const ScoreStats& corpus, const Segment& segment,
+                          DocId id) {
+  Document scratch;
+  for (const ScoreStats::Match& match : corpus.matches) {
+    scratch.Set(*match.column, ResolveFieldValue(segment, id, *match.column));
+  }
+  return ScoreDocument(corpus, scratch);
+}
+
+// A materialized row's sub-attribute `key`, parsed out of its
+// attributes string: the value the query phase reads from the
+// segment's sidecar for the column "attributes.<key>".
+Value SubAttribute(const Document& doc, std::string_view key) {
+  const Value& attrs = doc.Get(kFieldAttributes);
+  if (!attrs.is_string()) return Value::Null();
+  const auto parsed = ParseAttributes(attrs.as_string());
+  const auto it = parsed.find(std::string(key));
+  return it == parsed.end() ? Value::Null() : Value(it->second);
+}
+
+// ORDER BY comparator over materialized rows (single-phase sorts and
+// the coordinator's merge). "attributes.<key>" columns compare the
+// sub-attribute, as the query phase's sort keys do.
 bool DocumentLess(const Document& a, const Document& b,
                   const std::vector<OrderBy>& order_by) {
   for (const OrderBy& ob : order_by) {
-    const int c = a.Get(ob.column).Compare(b.Get(ob.column));
+    const size_t dot = ob.column.find('.');
+    const bool sub_attribute = dot != std::string::npos &&
+                               ob.column.compare(0, dot, kFieldAttributes) == 0;
+    const std::string_view key = std::string_view(ob.column).substr(dot + 1);
+    const int c = sub_attribute
+                      ? SubAttribute(a, key).Compare(SubAttribute(b, key))
+                      : a.Get(ob.column).Compare(b.Get(ob.column));
     if (c != 0) return ob.descending ? c > 0 : c < 0;
   }
   return false;
 }
+
+}  // namespace
 
 void GroupStats::Merge(const GroupStats& other) {
   count += other.count;
@@ -470,17 +488,15 @@ void ProjectRows(const Query& query, std::vector<Document>* rows) {
 Result<PostingList> EvalPlanCached(const PlanNode& plan,
                                    const SegmentView& view, ExecStats* stats,
                                    FilterCache* cache, uint64_t cache_domain,
-                                   const std::string& fingerprint,
-                                   const ExecOptions& opts) {
+                                   const std::string& fingerprint) {
   if (cache == nullptr || fingerprint.empty()) {
-    return EvalPlan(plan, view, stats, opts);
+    return EvalPlan(plan, view, stats);
   }
   PostingList cached;
   if (cache->Get(cache_domain, view.id(), fingerprint, &cached)) {
     return cached;
   }
-  ESDB_ASSIGN_OR_RETURN(PostingList candidates,
-                        EvalPlan(plan, view, stats, opts));
+  ESDB_ASSIGN_OR_RETURN(PostingList candidates, EvalPlan(plan, view, stats));
   cache->Put(cache_domain, view.id(), fingerprint, candidates);
   return candidates;
 }
@@ -488,13 +504,18 @@ Result<PostingList> EvalPlanCached(const PlanNode& plan,
 Result<QueryResult> ExecuteOnShard(
     const Query& query, const PlanNode& plan, const ShardView& snapshot,
     ExecStats* stats, FilterCache* cache, uint64_t cache_domain,
-    const ExecOptions& opts) {
+    const ExecOptions&) {
   const std::string fingerprint =
       (cache != nullptr && IsCacheable(plan)) ? PlanFingerprint(plan)
                                               : std::string();
   QueryResult result;
   const bool aggregating = query.agg != AggFunc::kNone;
   const bool scoring = !aggregating && NeedsScoring(query);
+  ScoreStats corpus;
+  if (scoring) {
+    ESDB_ASSIGN_OR_RETURN(corpus,
+                          CollectScoreStats(query.where.get(), snapshot));
+  }
   // Without ORDER BY the shard can stop once LIMIT rows are found.
   const bool can_early_stop =
       !aggregating && query.order_by.empty() && query.limit >= 0;
@@ -533,7 +554,7 @@ Result<QueryResult> ExecuteOnShard(
     }
     ESDB_ASSIGN_OR_RETURN(PostingList candidates,
                           EvalPlanCached(plan, view, stats, cache,
-                                         cache_domain, fingerprint, opts));
+                                         cache_domain, fingerprint));
     for (DocId id : candidates.ids()) {
       if (view.IsDeleted(id)) continue;
       ++result.total_matched;
@@ -543,11 +564,7 @@ Result<QueryResult> ExecuteOnShard(
       }
       ESDB_ASSIGN_OR_RETURN(Document doc, view.GetDocument(id));
       ++stats->rows_materialized;
-      if (opts.batch_execution) ++stats->rows_late_materialized;
-      if (scoring) {
-        doc.Set(kFieldScore,
-                Value(ScoreDocument(*view, doc, query.where.get())));
-      }
+      if (scoring) doc.Set(kFieldScore, Value(ScoreDocument(corpus, doc)));
       result.rows.push_back(std::move(doc));
       // Shards must over-fetch by the global offset (skipping is only
       // correct after the coordinator's merge).
@@ -574,7 +591,7 @@ Result<std::vector<RowRef>> ExecuteQueryPhase(
     const Query& query, const PlanNode& plan, const ShardView& snapshot,
     uint32_t shard_ordinal, ExecStats* stats, uint64_t* total_matched,
     bool* total_matched_exact, FilterCache* cache, uint64_t cache_domain,
-    const ExecOptions& opts) {
+    const ExecOptions&) {
   if (query.agg != AggFunc::kNone || !query.group_by.empty()) {
     return Status::InvalidArgument(
         "query phase only applies to row queries");
@@ -583,12 +600,18 @@ Result<std::vector<RowRef>> ExecuteQueryPhase(
       (cache != nullptr && IsCacheable(plan)) ? PlanFingerprint(plan)
                                               : std::string();
   const bool scoring = NeedsScoring(query);
+  ScoreStats corpus;
+  if (scoring) {
+    ESDB_ASSIGN_OR_RETURN(corpus,
+                          CollectScoreStats(query.where.get(), snapshot));
+  }
   const bool can_early_stop = query.order_by.empty() && query.limit >= 0;
   const int64_t local_cap =
       query.limit >= 0 ? query.limit + query.offset : -1;
   const uint64_t pushdown_skips_before = stats->rows_skipped_by_pushdown;
 
   std::vector<RowRef> refs;
+  std::vector<batch::SlotSource> order_sources;
   for (uint32_t segment_ordinal = 0; segment_ordinal < snapshot.size();
        ++segment_ordinal) {
     // Same one-pin-per-segment discipline as ExecuteOnShard.
@@ -597,15 +620,13 @@ Result<std::vector<RowRef>> ExecuteQueryPhase(
     ++stats->segments_visited;
     ESDB_ASSIGN_OR_RETURN(PostingList candidates,
                           EvalPlanCached(plan, view, stats, cache,
-                                         cache_domain, fingerprint, opts));
-    // Batch mode resolves each ORDER BY column to a slot source once
-    // per segment instead of once per (doc, column).
-    std::vector<batch::SlotSource> order_sources;
-    if (opts.batch_execution) {
-      order_sources.reserve(query.order_by.size());
-      for (const OrderBy& ob : query.order_by) {
-        order_sources.push_back(batch::SlotSource::Resolve(*view, ob.column));
-      }
+                                         cache_domain, fingerprint));
+    if (candidates.empty()) continue;
+    // Each ORDER BY column resolves to a slot source once per segment,
+    // not once per (doc, column).
+    order_sources.clear();
+    for (const OrderBy& ob : query.order_by) {
+      order_sources.push_back(batch::SlotSource::Resolve(*view, ob.column));
     }
     for (DocId id : candidates.ids()) {
       if (view.IsDeleted(id)) continue;
@@ -619,13 +640,10 @@ Result<std::vector<RowRef>> ExecuteQueryPhase(
       for (size_t k = 0; k < query.order_by.size(); ++k) {
         const OrderBy& ob = query.order_by[k];
         if (ob.column == kFieldScore && scoring) {
-          ref.sort_keys.emplace_back(
-              ScoreFromDocValues(*view, id, query.where.get()));
-        } else if (!order_sources.empty()) {
+          ref.sort_keys.emplace_back(ScoreFromDocValues(corpus, *view, id));
+        } else {
           ref.sort_keys.push_back(
               batch::SlotToValue(order_sources[k].Read(id)));
-        } else {
-          ref.sort_keys.push_back(ResolveFieldValue(*view, id, ob.column));
         }
       }
       refs.push_back(std::move(ref));
@@ -662,9 +680,12 @@ void SortRowRefs(const Query& query, std::vector<RowRef>* refs) {
 
 Result<std::vector<Document>> ExecuteFetchPhase(
     const Query& query, const std::vector<SegmentSnapshot>& snapshots,
-    const std::vector<RowRef>& refs, ExecStats* stats,
-    const ExecOptions& opts) {
+    const std::vector<RowRef>& refs, ExecStats* stats, const ExecOptions&) {
   const bool scoring = NeedsScoring(query);
+  // Per shard, computed on its first winner: the query phase scored
+  // against the same pinned snapshot, so the statistics agree.
+  std::vector<std::optional<ScoreStats>> corpora(scoring ? snapshots.size()
+                                                         : 0);
   std::vector<Document> rows;
   rows.reserve(refs.size());
   for (const RowRef& ref : refs) {
@@ -676,10 +697,14 @@ Result<std::vector<Document>> ExecuteFetchPhase(
         (*snapshots[ref.shard_ordinal])[ref.segment_ordinal].Pinned());
     ESDB_ASSIGN_OR_RETURN(Document doc, view.GetDocument(ref.doc));
     ++stats->rows_materialized;
-    if (opts.batch_execution) ++stats->rows_late_materialized;
     if (scoring) {
-      doc.Set(kFieldScore,
-              Value(ScoreDocument(*view, doc, query.where.get())));
+      std::optional<ScoreStats>& corpus = corpora[ref.shard_ordinal];
+      if (!corpus) {
+        ESDB_ASSIGN_OR_RETURN(
+            corpus, CollectScoreStats(query.where.get(),
+                                      *snapshots[ref.shard_ordinal]));
+      }
+      doc.Set(kFieldScore, Value(ScoreDocument(*corpus, doc)));
     }
     rows.push_back(std::move(doc));
   }

@@ -55,13 +55,13 @@ struct QueryResult {
   std::map<Value, GroupStats, ValueLess> groups;
 };
 
-// Per-query execution switches, plumbed down from Esdb::Options.
+// Unread. The executor has one engine (the slot path of
+// src/query/batch/); this struct, its field and the trailing
+// parameter of ExecuteOnShard, ExecuteQueryPhase and ExecuteFetchPhase
+// stay only because perfbench/bench.cc still compiles against them.
+// They go with the next change to the benchmark.
 struct ExecOptions {
-  // Route doc-value filtering and sort-key resolution through the
-  // vectorized batch engine (src/query/batch/). Results are byte-
-  // identical to the row engine either way. Aggregates have one
-  // implementation (batch::Aggregator) whatever this flag says.
-  bool batch_execution = false;
+  bool batch_execution = true;
 };
 
 // Execution counters, used by tests and benches to verify access-path
@@ -72,10 +72,10 @@ struct ExecStats {
   uint64_t docs_filtered = 0;        // candidates run through doc-value scan
   uint64_t rows_materialized = 0;
 
-  // Batch engine counters (zero under row execution).
-  uint64_t batches_evaluated = 0;       // selection-vector batches run
-  uint64_t batch_rows_passed = 0;       // rows surviving batch filters
-  uint64_t rows_late_materialized = 0;  // docs decoded after batch filtering
+  // Filter-program counters (zero when no plan node filters on doc
+  // values).
+  uint64_t batches_evaluated = 0;  // selection-vector batches run
+  uint64_t batch_rows_passed = 0;  // rows surviving batch filters
 
   // Cost-model counters (zero when use_cost_model is off).
   uint64_t plans_costed = 0;             // queries run through the cost pass
@@ -104,7 +104,6 @@ struct ExecStats {
     rows_materialized += other.rows_materialized;
     batches_evaluated += other.batches_evaluated;
     batch_rows_passed += other.batch_rows_passed;
-    rows_late_materialized += other.rows_late_materialized;
     plans_costed += other.plans_costed;
     rows_skipped_by_pushdown += other.rows_skipped_by_pushdown;
     stats_only_answers += other.stats_only_answers;
@@ -112,19 +111,13 @@ struct ExecStats {
   }
 };
 
-// Resolves a column of a document inside a segment, understanding
-// "attributes.<key>" virtual columns (parsed out of the stored
-// attributes string when no materialized column exists).
-Value ResolveFieldValue(const Segment& segment, DocId id,
-                        const std::string& field);
-
 // Evaluates a physical plan against one segment view, producing
 // candidate doc ids. Index-driven nodes do not consult tombstones
 // (candidates are filtered against the view's overlay afterwards);
 // kFullScan enumerates the view's live docs directly.
-[[nodiscard]] Result<PostingList> EvalPlan(const PlanNode& plan, const SegmentView& view,
-                             ExecStats* stats,
-                             const ExecOptions& opts = ExecOptions());
+[[nodiscard]] Result<PostingList> EvalPlan(const PlanNode& plan,
+                                           const SegmentView& view,
+                                           ExecStats* stats);
 
 // Runs `query` (with its compiled `plan`) over a pinned shard view:
 // evaluates the plan per segment, drops docs deleted in that epoch's
@@ -138,7 +131,7 @@ Value ResolveFieldValue(const Segment& segment, DocId id,
 [[nodiscard]] Result<QueryResult> ExecuteOnShard(
     const Query& query, const PlanNode& plan, const ShardView& snapshot,
     ExecStats* stats, FilterCache* cache = nullptr, uint64_t cache_domain = 0,
-    const ExecOptions& opts = ExecOptions());
+    const ExecOptions& = ExecOptions());
 
 // Plan evaluation through the filter cache: consults/populates `cache`
 // when the plan is cacheable; falls back to EvalPlan otherwise.
@@ -147,8 +140,7 @@ Value ResolveFieldValue(const Segment& segment, DocId id,
 [[nodiscard]] Result<PostingList> EvalPlanCached(const PlanNode& plan,
                                    const SegmentView& view, ExecStats* stats,
                                    FilterCache* cache, uint64_t cache_domain,
-                                   const std::string& fingerprint,
-                                   const ExecOptions& opts = ExecOptions());
+                                   const std::string& fingerprint);
 
 // Coordinator-side aggregation (Section 3.2, "query result
 // aggregator"): merges per-shard results — global sort, limit, and
@@ -180,7 +172,7 @@ struct RowRef {
     const Query& query, const PlanNode& plan, const ShardView& snapshot,
     uint32_t shard_ordinal, ExecStats* stats, uint64_t* total_matched,
     bool* total_matched_exact = nullptr, FilterCache* cache = nullptr,
-    uint64_t cache_domain = 0, const ExecOptions& opts = ExecOptions());
+    uint64_t cache_domain = 0, const ExecOptions& = ExecOptions());
 
 // Orders row refs per the query's ORDER BY (ties keep stable order).
 void SortRowRefs(const Query& query, std::vector<RowRef>* refs);
@@ -192,31 +184,22 @@ void SortRowRefs(const Query& query, std::vector<RowRef>* refs);
 [[nodiscard]] Result<std::vector<Document>> ExecuteFetchPhase(
     const Query& query, const std::vector<SegmentSnapshot>& snapshots,
     const std::vector<RowRef>& refs, ExecStats* stats,
-    const ExecOptions& opts = ExecOptions());
+    const ExecOptions& = ExecOptions());
 
 // Applies SELECT-column projection in place (shared by both paths).
 void ProjectRows(const Query& query, std::vector<Document>* rows);
 
-// Comparator used for ORDER BY; exposed for tests.
-bool DocumentLess(const Document& a, const Document& b,
-                  const std::vector<OrderBy>& order_by);
-
 // Full-text relevance scoring (ORDER BY _score [DESC]): a BM25-style
 // score over the query's MATCH predicates,
 //   score = sum over query tokens of idf(t) * tf / (tf + k1)
-// with idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)) computed per
-// segment from posting sizes, and tf counted by re-analyzing the
-// candidate's stored text (only candidates pay this cost). The score
-// is attached to each result row as the "_score" field.
+// with idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)). N and df count
+// the live docs of the shard's pinned snapshot, once per query (the
+// per-shard statistics of Elasticsearch's query_then_fetch), so a
+// merge or migration that re-cuts segments leaves every score as it
+// was. tf is counted by re-analyzing the candidate's text (only
+// candidates pay this cost). The score is attached to each result row
+// as the "_score" field.
 inline constexpr const char* kFieldScore = "_score";
-
-// True when the query sorts by _score (scoring must run).
-bool NeedsScoring(const Query& query);
-
-// Score of `doc` (already materialized) against the MATCH predicates
-// found in `where` (null-safe), w.r.t. segment-level statistics.
-double ScoreDocument(const Segment& segment, const Document& doc,
-                     const Expr* where);
 
 }  // namespace esdb
 

@@ -54,11 +54,6 @@ class AttributeSidecar {
     return nullptr;
   }
 
-  // Convenience for the row engine (one map lookup + pair scan).
-  const std::string* GetByName(DocId id, std::string_view key) const {
-    return Get(id, KeyId(key));
-  }
-
   size_t num_keys() const { return keys_.size(); }
   size_t ApproximateBytes() const;
 

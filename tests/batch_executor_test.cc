@@ -1,12 +1,19 @@
-// Parity fuzzer for the vectorized batch executor: every query shape
-// the engine supports, run through BOTH engines over the same pinned
-// snapshot, must produce byte-identical results (rows compared by
-// serialized bytes, aggregates by exact value and type). Randomized
+// The slot executor against stored documents: every query shape the
+// engine supports, over a fuzz corpus of several segments, must give
+// exactly the answer recomputed from the segments' decoded documents
+// (GetDocument) with the WHERE clause evaluated on each document by
+// tests/support/reference_eval.h. The reference shares nothing with
+// the executor beyond the parser and planner: no index, plan node,
+// doc-value column, slot or filter program. Rows compare by serialized
+// bytes, aggregates and sort keys by exact value and type. Randomized
 // but seeded — failures reproduce.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <deque>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,6 +26,7 @@
 #include "query/optimizer.h"
 #include "query/parser.h"
 #include "storage/shard_store.h"
+#include "support/reference_eval.h"
 
 namespace esdb {
 namespace {
@@ -27,15 +35,16 @@ IndexSpec FuzzSpec() {
   IndexSpec spec;
   spec.text_fields = {"title"};
   spec.composite_indexes = {{"tenant_id", "created_time"}};
-  spec.scan_fields = {"status", "flag", "group", "amount", "mixed"};
+  spec.scan_fields = {"status", "flag", "group", "amount", "mixed", "ratio"};
   spec.indexed_sub_attributes = {"activity"};
   return spec;
 }
 
 // Deterministic store with the value shapes the slot engine must get
 // right: nulls (columns randomly absent per doc), a mixed-type column
-// (int/double/string in one column), doubles, negative ints, text,
-// and attribute strings. Refreshes every `refresh_every` docs so the
+// (int/double/string in one column), doubles (`ratio` is on every doc,
+// so its segments take the uniform-double fast path), negative ints,
+// text, and attribute strings. Refreshes every `refresh_every` docs so the
 // snapshot holds several segments.
 std::unique_ptr<ShardStore> BuildFuzzStore(const IndexSpec* spec,
                                            int num_docs, uint64_t seed,
@@ -72,6 +81,7 @@ std::unique_ptr<ShardStore> BuildFuzzStore(const IndexSpec* spec,
     } else if (mix == 2) {
       op.doc.Set("mixed", Value("m" + std::to_string(rng.Uniform(5))));
     }  // mix == 3: absent (null)
+    op.doc.Set("ratio", Value(double((i * 37) % 101) / 4.0));
     op.doc.Set("title", Value(std::string(titles[rng.Uniform(5)])));
     if (rng.Bernoulli(0.8)) {
       std::string attrs =
@@ -95,120 +105,185 @@ Query ParseQuery(const std::string& sql) {
   return std::move(q).value();
 }
 
-// Strict byte-level equality: serialized rows, typed aggregate values
-// (Value::operator== is Compare-based and would let an int-1 pass for
-// a double-1.0), identical group maps.
-void ExpectIdenticalResults(const QueryResult& row, const QueryResult& batch,
-                            const std::string& label) {
-  ASSERT_EQ(row.rows.size(), batch.rows.size()) << label;
-  for (size_t i = 0; i < row.rows.size(); ++i) {
-    EXPECT_EQ(row.rows[i].Serialize(), batch.rows[i].Serialize())
+// --- Reference walk over stored documents ------------------------------
+
+// One live document the WHERE clause accepts, with its location.
+struct Match {
+  uint32_t segment_ordinal = 0;
+  DocId doc = 0;
+  Document stored;
+};
+
+// The live docs of `snapshot` that WHERE accepts, decoded, in segment
+// and doc-id order (the order in which the executor visits candidates).
+std::vector<Match> MatchingDocs(const ShardView& snapshot, const Query& query) {
+  std::vector<Match> out;
+  for (uint32_t s = 0; s < snapshot.size(); ++s) {
+    const SegmentView& view = snapshot[s];
+    for (DocId id = 0; id < DocId(view.num_docs()); ++id) {
+      if (view.IsDeleted(id)) continue;
+      auto doc = view.GetDocument(id);
+      EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+      if (!doc.ok()) continue;
+      if (query.where != nullptr &&
+          !EvalWhereOnDocument(*query.where, *doc)) {
+        continue;
+      }
+      out.push_back({s, id, std::move(*doc)});
+    }
+  }
+  return out;
+}
+
+void StableSortMatches(const Query& query, std::vector<Match>* matches) {
+  std::stable_sort(matches->begin(), matches->end(),
+                   [&](const Match& a, const Match& b) {
+                     return ReferenceOrderLess(query, a.stored, b.stored);
+                   });
+}
+
+// The shard-local answer ExecuteOnShard must give, folded per decoded
+// doc: aggregates and groups over every match; rows sorted and kept to
+// offset + limit (or, with no ORDER BY, the first offset + limit
+// matches, after which the shard stops counting).
+QueryResult ReferenceShardResult(const Query& query,
+                                 std::vector<Match> matches) {
+  QueryResult out;
+  if (query.agg != AggFunc::kNone) {
+    for (const Match& m : matches) ReferenceFoldDocument(query, m.stored, &out);
+    return out;
+  }
+  const int64_t cap = query.limit >= 0 ? query.limit + query.offset : -1;
+  out.total_matched = matches.size();
+  if (query.order_by.empty() && cap >= 0 && int64_t(matches.size()) >= cap) {
+    out.total_matched = uint64_t(cap);
+    out.total_matched_exact = false;
+  }
+  StableSortMatches(query, &matches);
+  if (cap >= 0 && int64_t(matches.size()) > cap) matches.resize(size_t(cap));
+  for (Match& m : matches) out.rows.push_back(std::move(m.stored));
+  return out;
+}
+
+std::string TypedValue(const std::optional<Value>& v) {
+  if (!v) return "none";
+  return std::to_string(int(v->type())) + ":" + v->ToString();
+}
+
+// Strict equality: serialized rows, typed aggregate values and group
+// keys (Value::operator== is Compare-based and would let an int 1 pass
+// for a double 1.0), exact sums.
+void ExpectSameResult(const QueryResult& want, const QueryResult& got,
+                      const std::string& label) {
+  ASSERT_EQ(want.rows.size(), got.rows.size()) << label;
+  for (size_t i = 0; i < want.rows.size(); ++i) {
+    EXPECT_EQ(want.rows[i].Serialize(), got.rows[i].Serialize())
         << label << " row " << i;
   }
-  EXPECT_EQ(row.total_matched, batch.total_matched) << label;
-  EXPECT_EQ(row.agg_count, batch.agg_count) << label;
-  EXPECT_EQ(row.agg_sum, batch.agg_sum) << label;  // exact, same fold order
-  ASSERT_EQ(row.agg_min.has_value(), batch.agg_min.has_value()) << label;
-  if (row.agg_min.has_value()) {
-    EXPECT_TRUE(row.agg_min->type() == batch.agg_min->type() &&
-                *row.agg_min == *batch.agg_min)
-        << label;
-  }
-  ASSERT_EQ(row.agg_max.has_value(), batch.agg_max.has_value()) << label;
-  if (row.agg_max.has_value()) {
-    EXPECT_TRUE(row.agg_max->type() == batch.agg_max->type() &&
-                *row.agg_max == *batch.agg_max)
-        << label;
-  }
-  ASSERT_EQ(row.groups.size(), batch.groups.size()) << label;
-  auto rit = row.groups.begin();
-  auto bit = batch.groups.begin();
-  for (; rit != row.groups.end(); ++rit, ++bit) {
-    EXPECT_TRUE(rit->first.type() == bit->first.type() &&
-                rit->first == bit->first)
-        << label << " group key";
-    EXPECT_EQ(rit->second.count, bit->second.count) << label;
-    EXPECT_EQ(rit->second.sum, bit->second.sum) << label;
-    ASSERT_EQ(rit->second.min.has_value(), bit->second.min.has_value());
-    if (rit->second.min.has_value()) {
-      EXPECT_TRUE(*rit->second.min == *bit->second.min) << label;
-    }
-    ASSERT_EQ(rit->second.max.has_value(), bit->second.max.has_value());
-    if (rit->second.max.has_value()) {
-      EXPECT_TRUE(*rit->second.max == *bit->second.max) << label;
-    }
+  EXPECT_EQ(want.total_matched, got.total_matched) << label;
+  EXPECT_EQ(want.total_matched_exact, got.total_matched_exact) << label;
+  EXPECT_EQ(want.agg_count, got.agg_count) << label;
+  EXPECT_EQ(want.agg_sum, got.agg_sum) << label;
+  EXPECT_EQ(TypedValue(want.agg_min), TypedValue(got.agg_min)) << label;
+  EXPECT_EQ(TypedValue(want.agg_max), TypedValue(got.agg_max)) << label;
+  ASSERT_EQ(want.groups.size(), got.groups.size()) << label;
+  auto w = want.groups.begin();
+  for (auto g = got.groups.begin(); g != got.groups.end(); ++w, ++g) {
+    EXPECT_EQ(TypedValue(w->first), TypedValue(g->first)) << label;
+    EXPECT_EQ(w->second.count, g->second.count) << label;
+    EXPECT_EQ(w->second.sum, g->second.sum) << label;
+    EXPECT_EQ(TypedValue(w->second.min), TypedValue(g->second.min)) << label;
+    EXPECT_EQ(TypedValue(w->second.max), TypedValue(g->second.max)) << label;
   }
 }
 
-// Runs one query through both engines over the SAME snapshot, under
-// both planner configurations, and demands identical candidates
-// (per-segment posting lists), identical single-phase results, and
-// identical two-phase row refs.
-void ExpectEngineParity(const ShardStore& store, const IndexSpec& spec,
-                        const std::string& sql) {
+// Runs one query over one pinned snapshot, under both planner
+// configurations, and checks against the decoded documents:
+//  - per segment, EvalPlan's live candidates are exactly the matches;
+//  - ExecuteOnShard's rows, aggregates and groups;
+//  - ExecuteQueryPhase's match count, row refs in ORDER BY order (ties
+//    in segment/doc order) and each ref's sort keys, type and value.
+void ExpectMatchesStoredDocs(const ShardStore& store, const IndexSpec& spec,
+                             const std::string& sql) {
+  SCOPED_TRACE(sql);
   const Query query = ParseQuery(sql);
   const SegmentSnapshot snapshot = store.Snapshot();
-  ExecOptions row_opts;
-  ExecOptions batch_opts;
-  batch_opts.batch_execution = true;
+  const std::vector<Match> matches = MatchingDocs(*snapshot, query);
 
   PlannerOptions rbo;
   PlannerOptions baseline;
   baseline.use_composite_index = false;
   baseline.use_scan_list = false;
   for (const PlannerOptions& planner : {rbo, baseline}) {
+    SCOPED_TRACE(planner.use_composite_index ? "rules" : "baseline");
     std::unique_ptr<Expr> normalized;
     if (query.where != nullptr) {
       normalized = NormalizeForPlanning(query.where->Clone());
     }
     const auto plan = PlanWhere(normalized.get(), spec, planner);
 
-    // Plan-level parity: the filtered candidate lists themselves.
-    for (const SegmentView& view : *snapshot) {
-      ExecStats s1, s2;
-      auto row_list = EvalPlan(*plan, view, &s1, row_opts);
-      auto batch_list = EvalPlan(*plan, view, &s2, batch_opts);
-      ASSERT_TRUE(row_list.ok() && batch_list.ok()) << sql;
-      EXPECT_TRUE(*row_list == *batch_list) << sql;
-      EXPECT_EQ(s1.docs_filtered, s2.docs_filtered) << sql;
+    for (uint32_t s = 0; s < snapshot->size(); ++s) {
+      const SegmentView& view = (*snapshot)[s];
+      ExecStats stats;
+      auto candidates = EvalPlan(*plan, view, &stats);
+      ASSERT_TRUE(candidates.ok()) << candidates.status().ToString();
+      std::vector<DocId> live;
+      for (DocId id : candidates->ids()) {
+        if (!view.IsDeleted(id)) live.push_back(id);
+      }
+      std::vector<DocId> want;
+      for (const Match& m : matches) {
+        if (m.segment_ordinal == s) want.push_back(m.doc);
+      }
+      EXPECT_EQ(live, want) << "segment " << s;
     }
 
-    // Single-phase execution parity.
-    ExecStats row_stats, batch_stats;
-    auto row_result =
-        ExecuteOnShard(query, *plan, *snapshot, &row_stats, nullptr, 0,
-                       row_opts);
-    auto batch_result =
-        ExecuteOnShard(query, *plan, *snapshot, &batch_stats, nullptr, 0,
-                       batch_opts);
-    ASSERT_TRUE(row_result.ok()) << sql << ": "
-                                 << row_result.status().ToString();
-    ASSERT_TRUE(batch_result.ok()) << sql << ": "
-                                   << batch_result.status().ToString();
-    ExpectIdenticalResults(*row_result, *batch_result, sql);
+    ExecStats stats;
+    auto result = ExecuteOnShard(query, *plan, *snapshot, &stats);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectSameResult(ReferenceShardResult(query, matches), *result,
+                     "ExecuteOnShard");
 
-    // Two-phase query-phase parity (row queries only).
-    if (query.agg == AggFunc::kNone && query.group_by.empty()) {
-      ExecStats qs1, qs2;
-      uint64_t m1 = 0, m2 = 0;
-      auto refs1 = ExecuteQueryPhase(query, *plan, *snapshot, 0, &qs1, &m1,
-                                     nullptr, nullptr, 0, row_opts);
-      auto refs2 = ExecuteQueryPhase(query, *plan, *snapshot, 0, &qs2, &m2,
-                                     nullptr, nullptr, 0, batch_opts);
-      ASSERT_TRUE(refs1.ok() && refs2.ok()) << sql;
-      EXPECT_EQ(m1, m2) << sql;
-      ASSERT_EQ(refs1->size(), refs2->size()) << sql;
-      for (size_t i = 0; i < refs1->size(); ++i) {
-        const RowRef& a = (*refs1)[i];
-        const RowRef& b = (*refs2)[i];
-        EXPECT_EQ(a.segment_ordinal, b.segment_ordinal) << sql;
-        EXPECT_EQ(a.doc, b.doc) << sql;
-        ASSERT_EQ(a.sort_keys.size(), b.sort_keys.size()) << sql;
-        for (size_t k = 0; k < a.sort_keys.size(); ++k) {
-          EXPECT_TRUE(a.sort_keys[k].type() == b.sort_keys[k].type() &&
-                      a.sort_keys[k] == b.sort_keys[k])
-              << sql << " sort key " << k;
-        }
+    if (query.agg != AggFunc::kNone || !query.group_by.empty()) continue;
+    uint64_t matched = 0;
+    bool exact = true;
+    auto refs = ExecuteQueryPhase(query, *plan, *snapshot, 0, &stats,
+                                  &matched, &exact);
+    ASSERT_TRUE(refs.ok()) << refs.status().ToString();
+    std::vector<Match> want = matches;
+    const int64_t cap = query.limit >= 0 ? query.limit + query.offset : -1;
+    if (query.order_by.empty() && cap >= 0 && int64_t(want.size()) >= cap) {
+      EXPECT_EQ(matched, uint64_t(cap));
+      EXPECT_FALSE(exact);
+    } else {
+      EXPECT_EQ(matched, want.size());
+      EXPECT_TRUE(exact);
+    }
+    StableSortMatches(query, &want);
+    if (cap >= 0 && int64_t(want.size()) > cap) want.resize(size_t(cap));
+    // The query phase leaves refs in doc order when it keeps them all;
+    // order them by their own sort keys before comparing.
+    std::vector<RowRef> got = *refs;
+    std::stable_sort(got.begin(), got.end(),
+                     [&](const RowRef& a, const RowRef& b) {
+                       for (size_t k = 0; k < query.order_by.size(); ++k) {
+                         const int c = a.sort_keys[k].Compare(b.sort_keys[k]);
+                         if (c != 0) {
+                           return query.order_by[k].descending ? c > 0 : c < 0;
+                         }
+                       }
+                       return false;
+                     });
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].segment_ordinal, want[i].segment_ordinal) << "ref " << i;
+      EXPECT_EQ(got[i].doc, want[i].doc) << "ref " << i;
+      ASSERT_EQ(got[i].sort_keys.size(), query.order_by.size());
+      for (size_t k = 0; k < query.order_by.size(); ++k) {
+        EXPECT_EQ(TypedValue(got[i].sort_keys[k]),
+                  TypedValue(ReferenceFieldValue(want[i].stored,
+                                                 query.order_by[k].column)))
+            << "ref " << i << " sort key " << k;
       }
     }
   }
@@ -273,13 +348,55 @@ TEST_F(BatchExecutorTest, FixedQueryShapes) {
       // ORDER BY / LIMIT through sort-key resolution.
       "SELECT * FROM t WHERE status = 2 ORDER BY created_time DESC LIMIT 10",
       "SELECT * FROM t WHERE flag = 1 ORDER BY amount LIMIT 7",
+      "SELECT * FROM t WHERE group < 0 ORDER BY status, ratio DESC LIMIT 12",
+      "SELECT * FROM t WHERE flag = 0 ORDER BY attributes.activity, mixed",
+      // LIMIT without ORDER BY: the shard stops early.
+      "SELECT * FROM t WHERE ratio >= 10.0 LIMIT 9",
   };
-  for (const char* sql : sqls) ExpectEngineParity(*store_, spec_, sql);
+  for (const char* sql : sqls) ExpectMatchesStoredDocs(*store_, spec_, sql);
+}
+
+// Every range operator at a value the column really holds, as an int
+// and as a double literal: the typed fast paths (int range, int IN,
+// double range over int and double columns) must get each bound's
+// inclusiveness right, which random literals rarely probe.
+TEST_F(BatchExecutorTest, FastPathBoundsAtStoredValues) {
+  const SegmentSnapshot snapshot = store_->Snapshot();
+  auto first = (*snapshot)[0].GetDocument(0);
+  ASSERT_TRUE(first.ok());
+  char ratio[32];
+  std::snprintf(ratio, sizeof(ratio), "%.2f",
+                first->Get("ratio").as_double());
+  const std::string group = first->Get("group").ToString();
+  const std::string created = first->Get(kFieldCreatedTime).ToString();
+  const struct {
+    std::string column;
+    std::string value;
+  } kProbes[] = {{"group", group},
+                 {"group", group + ".0"},
+                 {"created_time", created},
+                 {"created_time", created + ".0"},
+                 {"ratio", ratio}};
+  for (const auto& probe : kProbes) {
+    const std::string& c = probe.column;
+    const std::string& v = probe.value;
+    for (const char* op : {" = ", " < ", " <= ", " > ", " >= ", " != "}) {
+      ExpectMatchesStoredDocs(*store_, spec_,
+                              "SELECT * FROM t WHERE " + c + op + v);
+    }
+    ExpectMatchesStoredDocs(
+        *store_, spec_,
+        "SELECT * FROM t WHERE " + c + " BETWEEN " + v + " AND " + v);
+    ExpectMatchesStoredDocs(
+        *store_, spec_, "SELECT * FROM t WHERE NOT (" + c + " > " + v + ")");
+    ExpectMatchesStoredDocs(*store_, spec_,
+                            "SELECT * FROM t WHERE " + c + " IN (" + v + ")");
+  }
 }
 
 // Seeded random query generator: composite ranges, every scalar
 // operator, sub-attributes, unions, aggregates, sorts.
-TEST_F(BatchExecutorTest, RandomizedParityFuzz) {
+TEST_F(BatchExecutorTest, RandomizedQueriesMatchStoredDocs) {
   Rng rng(20260808);
   for (int trial = 0; trial < 120; ++trial) {
     std::string sql = "SELECT ";
@@ -365,14 +482,14 @@ TEST_F(BatchExecutorTest, RandomizedParityFuzz) {
       sql += " ORDER BY created_time DESC LIMIT ";
       sql += std::to_string(1 + rng.Uniform(30));
     }
-    ExpectEngineParity(*store_, spec_, sql);
+    ExpectMatchesStoredDocs(*store_, spec_, sql);
   }
 }
 
-// Tombstone overlays arriving mid-stream: parity must hold on a
+// Tombstone overlays arriving mid-stream: the answers must follow a
 // snapshot whose candidate batches are riddled with deleted docs, and
 // an older pinned snapshot must keep its frozen live set.
-TEST_F(BatchExecutorTest, ParityAcrossTombstoneOverlays) {
+TEST_F(BatchExecutorTest, TombstoneOverlaysMatchStoredDocs) {
   const SegmentSnapshot before = store_->Snapshot();
   Rng rng(99);
   int deleted = 0;
@@ -391,30 +508,27 @@ TEST_F(BatchExecutorTest, ParityAcrossTombstoneOverlays) {
       "900 AND amount > 10",
       "SELECT COUNT(*) FROM t GROUP BY status",
       "SELECT SUM(amount) FROM t WHERE flag = 1",
+      "SELECT * FROM t WHERE ratio < 12.5 ORDER BY ratio DESC LIMIT 20",
   };
-  for (const char* sql : sqls) ExpectEngineParity(*store_, spec_, sql);
+  for (const char* sql : sqls) ExpectMatchesStoredDocs(*store_, spec_, sql);
 
-  // The old snapshot still sees every doc, on both engines.
+  // The old snapshot still sees every doc.
   const Query q = ParseQuery("SELECT COUNT(*) FROM t");
   const auto plan = PlanWhere(nullptr, spec_, PlannerOptions{});
-  for (const bool batch : {false, true}) {
-    ExecOptions opts;
-    opts.batch_execution = batch;
-    ExecStats stats;
-    auto result = ExecuteOnShard(q, *plan, *before, &stats, nullptr, 0, opts);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->agg_count, 700u);
-  }
+  ExecStats stats;
+  auto result = ExecuteOnShard(q, *plan, *before, &stats);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->agg_count, 700u);
 }
 
-// End-to-end through the cluster layer: SetBatchExecution(true) must
-// not change a single byte of any result. Filter cache off so the
-// batch run cannot reuse row-computed candidate lists.
-TEST(BatchExecutorClusterTest, EndToEndParity) {
+// End to end through the cluster layer: the coordinator's merged answer
+// (shards in ordinal order, global sort, offset and limit) must equal
+// the decoded documents of every shard's pinned snapshot, and doc-value
+// filtering must run through the filter programs.
+TEST(BatchExecutorClusterTest, EndToEndMatchesStoredDocs) {
   Esdb::Options options;
   options.num_shards = 4;
   options.routing = RoutingKind::kHash;
-  options.use_filter_cache = false;
   options.store.refresh_doc_count = 0;
   Esdb db(options);
   Rng rng(777);
@@ -429,24 +543,30 @@ TEST(BatchExecutorClusterTest, EndToEndParity) {
   }
   db.RefreshAll();
   const char* sqls[] = {
-      "SELECT * FROM t WHERE tenant_id = 3 AND created_time BETWEEN 100 AND "
-      "800 ORDER BY created_time DESC LIMIT 20",
-      "SELECT * FROM t WHERE status = 2 AND amount >= 40.0",
+      "SELECT * FROM t WHERE status = 2 AND amount >= 40.0 ORDER BY amount "
+      "DESC, record_id LIMIT 20 OFFSET 3",
+      "SELECT * FROM t WHERE amount < 12.5 ORDER BY record_id",
       "SELECT COUNT(*) FROM t WHERE amount < 55.5",
-      "SELECT SUM(amount) FROM t GROUP BY status",
+      "SELECT MAX(amount) FROM t WHERE status != 1",
   };
   for (const char* sql : sqls) {
-    db.SetBatchExecution(false);
-    auto row = db.ExecuteSql(sql);
-    ASSERT_TRUE(row.ok()) << sql;
-    db.SetBatchExecution(true);
-    auto batch = db.ExecuteSql(sql);
-    ASSERT_TRUE(batch.ok()) << sql;
-    ExpectIdenticalResults(*row, *batch, sql);
-    // Batch counters actually moved (the engine really ran).
+    SCOPED_TRACE(sql);
+    const Query query = ParseQuery(sql);
+    std::vector<Match> matches;
+    for (ShardId s = 0; s < db.num_shards(); ++s) {
+      for (Match& m : MatchingDocs(*db.shard(s)->Snapshot(), query)) {
+        matches.push_back(std::move(m));
+      }
+    }
+    QueryResult want = ReferenceShardResult(query, std::move(matches));
+    const size_t skip = std::min(size_t(query.offset), want.rows.size());
+    want.rows.erase(want.rows.begin(), want.rows.begin() + long(skip));
+    auto got = db.ExecuteSql(sql);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameResult(want, *got, sql);
     const ExecStats stats = db.last_stats();
     if (stats.docs_filtered > 0) {
-      EXPECT_GT(stats.batches_evaluated, 0u) << sql;
+      EXPECT_GT(stats.batches_evaluated, 0u);
     }
   }
 }
@@ -533,7 +653,7 @@ TEST_F(BatchExecutorTest, SidecarMatchesStringParsing) {
                           : std::map<std::string, std::string>{};
       for (const char* key : {"activity", "attr0", "attr1", "attr2", "attr3",
                               "nope"}) {
-        const std::string* got = sidecar->GetByName(id, key);
+        const std::string* got = sidecar->Get(id, sidecar->KeyId(key));
         const auto it = parsed.find(key);
         if (it == parsed.end()) {
           EXPECT_EQ(got, nullptr) << "doc " << id << " key " << key;

@@ -5,6 +5,7 @@
 #include "query/dsl.h"
 #include "query/normalize.h"
 #include "query/parser.h"
+#include "support/reference_eval.h"
 
 namespace esdb {
 namespace {
@@ -19,27 +20,6 @@ Query MustParseDsl(std::string_view dsl) {
   auto q = ParseDsl(dsl);
   EXPECT_TRUE(q.ok()) << dsl << " -> " << q.status().ToString();
   return std::move(q).value();
-}
-
-// Reference evaluator (same as normalize_test's).
-bool EvalExpr(const Expr& e, const Document& doc) {
-  switch (e.kind) {
-    case Expr::Kind::kPred:
-      return e.pred.Eval(doc.Get(e.pred.column));
-    case Expr::Kind::kNot:
-      return !EvalExpr(*e.children[0], doc);
-    case Expr::Kind::kAnd:
-      for (const auto& c : e.children) {
-        if (!EvalExpr(*c, doc)) return false;
-      }
-      return true;
-    case Expr::Kind::kOr:
-      for (const auto& c : e.children) {
-        if (EvalExpr(*c, doc)) return true;
-      }
-      return false;
-  }
-  return false;
 }
 
 TEST(DslRenderTest, TermAndBool) {
@@ -206,7 +186,8 @@ TEST_P(DslRoundTripTest, SemanticsPreserved) {
                          rng.Bernoulli(0.5) ? "classic novel" : "lamp")));
     ASSERT_NE(original.where, nullptr);
     ASSERT_NE(round.where, nullptr);
-    EXPECT_EQ(EvalExpr(*original.where, doc), EvalExpr(*round.where, doc))
+    EXPECT_EQ(EvalWhereOnDocument(*original.where, doc),
+              EvalWhereOnDocument(*round.where, doc))
         << sql << "\n -> " << *dsl;
   }
 }

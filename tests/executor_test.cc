@@ -8,6 +8,7 @@
 #include "query/optimizer.h"
 #include "query/parser.h"
 #include "storage/shard_store.h"
+#include "support/reference_eval.h"
 
 namespace esdb {
 namespace {
@@ -53,39 +54,6 @@ std::unique_ptr<ShardStore> BuildStore(const IndexSpec* spec, int num_docs,
   return store;
 }
 
-// Reference evaluator over stored documents.
-bool EvalExprOnDoc(const Expr& e, const Document& doc) {
-  switch (e.kind) {
-    case Expr::Kind::kPred: {
-      // Sub-attribute virtual columns.
-      const size_t dot = e.pred.column.find('.');
-      if (dot != std::string::npos &&
-          e.pred.column.compare(0, dot, kFieldAttributes) == 0) {
-        const Value& attrs = doc.Get(kFieldAttributes);
-        if (!attrs.is_string()) return e.pred.Eval(Value::Null());
-        auto parsed = ParseAttributes(attrs.as_string());
-        auto it = parsed.find(e.pred.column.substr(dot + 1));
-        return e.pred.Eval(it == parsed.end() ? Value::Null()
-                                              : Value(it->second));
-      }
-      return e.pred.Eval(doc.Get(e.pred.column));
-    }
-    case Expr::Kind::kNot:
-      return !EvalExprOnDoc(*e.children[0], doc);
-    case Expr::Kind::kAnd:
-      for (const auto& c : e.children) {
-        if (!EvalExprOnDoc(*c, doc)) return false;
-      }
-      return true;
-    case Expr::Kind::kOr:
-      for (const auto& c : e.children) {
-        if (EvalExprOnDoc(*c, doc)) return true;
-      }
-      return false;
-  }
-  return false;
-}
-
 std::vector<int64_t> BruteForce(const ShardStore& store, const Expr* where) {
   std::vector<int64_t> out;
   const SegmentSnapshot snapshot = store.Snapshot();
@@ -94,7 +62,7 @@ std::vector<int64_t> BruteForce(const ShardStore& store, const Expr* where) {
     for (DocId id : live.ids()) {
       auto doc = seg->GetDocument(id);
       EXPECT_TRUE(doc.ok());
-      if (where == nullptr || EvalExprOnDoc(*where, *doc)) {
+      if (where == nullptr || EvalWhereOnDocument(*where, *doc)) {
         out.push_back(doc->record_id());
       }
     }

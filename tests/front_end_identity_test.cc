@@ -5,12 +5,11 @@
 // a live migration, in the middle of one, after its cutover, and
 // after a node failure promotes replicas.
 //
-// Both sides refresh at the same points, so every shard holds the
-// same segment layout on both; that keeps even layout-sensitive
-// answers (per-segment BM25 statistics behind ORDER BY _score, early-
-// terminated match counts) comparable. Writes that land during the
-// migration stay unrefreshed until after cutover for that reason: the
-// target replays them into one fresh buffer.
+// Both sides refresh at the same points. ORDER BY _score does not
+// depend on segment layout (BM25 statistics are per pinned shard
+// snapshot), so the Copying check below refreshes writes that the
+// migration target will later replay into one fresh segment, and the
+// relevance queries must still agree after cutover.
 
 #include <gtest/gtest.h>
 
@@ -191,6 +190,8 @@ TEST_F(FrontEndIdentityTest, SameAnswersAcrossMigrationAndFailover) {
   Write(400, 40);
   ASSERT_TRUE(cluster_->migrator()->Drive(shard).ok());
   Write(440, 40);
+  ASSERT_EQ(cluster_->MigrationPhaseOf(shard), MigrationPhase::kCopying);
+  RefreshBoth();
   ASSERT_EQ(cluster_->MigrationPhaseOf(shard), MigrationPhase::kCopying);
   ExpectSameAnswers("mid-migration (copying)");
   // DML writes reach the migrating shard through the migrator, like

@@ -14,6 +14,7 @@
 #include "cluster/esdb.h"
 #include "common/random.h"
 #include "query/parser.h"
+#include "support/reference_eval.h"
 
 namespace esdb {
 namespace {
@@ -197,14 +198,11 @@ TEST_F(GroupByExecTest, GroupLookupsCountDistinctSlotsPerShard) {
 
   const std::string sql = "SELECT status, COUNT(*) FROM t GROUP BY status";
   const uint64_t expected = ExpectedGroupLookups(db_.get(), "status");
-  for (const bool batch : {false, true}) {
-    db_->SetBatchExecution(batch);
-    auto result = db_->ExecuteSql(sql);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(db_->last_stats().group_lookups, expected) << "batch=" << batch;
-    // The table replaces the per-doc lookup the fold used to make.
-    EXPECT_LT(expected, result->total_matched);
-  }
+  auto result = db_->ExecuteSql(sql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(db_->last_stats().group_lookups, expected);
+  // The table replaces the per-doc lookup the fold used to make.
+  EXPECT_LT(expected, result->total_matched);
   auto explained = db_->ExplainSql(sql);
   ASSERT_TRUE(explained.ok()) << explained.status().ToString();
   EXPECT_NE(explained->find("group_lookups=" + std::to_string(expected)),
@@ -219,43 +217,12 @@ TEST_F(GroupByExecTest, GroupLookupsCountDistinctSlotsPerShard) {
 // target shard's pinned snapshot is walked in segment and doc-id order
 // (the executor's candidate order), every live doc is decoded with
 // GetDocument, WHERE is evaluated on the decoded document, and
-// matching docs fold per doc into a std::map<Value, GroupStats,
-// ValueLess>. Shard results then merge in fan-out order, as the
-// coordinator merges them.
-
-bool EvalWhere(const Expr& e, const Document& doc) {
-  switch (e.kind) {
-    case Expr::Kind::kPred:
-      return e.pred.Eval(doc.Get(e.pred.column));
-    case Expr::Kind::kAnd:
-      for (const auto& c : e.children) {
-        if (!EvalWhere(*c, doc)) return false;
-      }
-      return true;
-    case Expr::Kind::kOr:
-      for (const auto& c : e.children) {
-        if (EvalWhere(*c, doc)) return true;
-      }
-      return false;
-    case Expr::Kind::kNot:
-      return !EvalWhere(*e.children[0], doc);
-  }
-  return false;
-}
-
-// Strict-compare min/max fold: the first doc-order occurrence of a
-// compare-equal extremum is kept.
-void FoldMin(const Value& v, std::optional<Value>* min) {
-  if (!*min || v.Compare(**min) < 0) *min = v;
-}
-void FoldMax(const Value& v, std::optional<Value>* max) {
-  if (!*max || v.Compare(**max) > 0) *max = v;
-}
+// matching docs fold per doc (tests/support/reference_eval.h). Shard
+// results then merge in fan-out order, as the coordinator merges them.
 
 QueryResult ReferenceAnswer(Esdb* db, const Query& query,
                             const std::vector<ShardId>& targets) {
   QueryResult merged;
-  const bool grouped = !query.group_by.empty();
   for (ShardId shard : targets) {
     QueryResult local;
     const SegmentSnapshot snapshot = db->shard(shard)->Snapshot();
@@ -265,42 +232,14 @@ QueryResult ReferenceAnswer(Esdb* db, const Query& query,
         auto doc = view.GetDocument(id);
         EXPECT_TRUE(doc.ok()) << doc.status().ToString();
         if (!doc.ok()) continue;
-        if (query.where != nullptr && !EvalWhere(*query.where, *doc)) continue;
-        ++local.total_matched;
-        const Value& v = doc->Get(query.agg_column);
-        const bool has_value = query.agg != AggFunc::kCount && !v.is_null();
-        if (grouped) {
-          GroupStats& group = local.groups[doc->Get(query.group_by)];
-          ++group.count;
-          if (has_value) {
-            if (v.is_numeric()) group.sum += v.NumericValue();
-            FoldMin(v, &group.min);
-            FoldMax(v, &group.max);
-          }
+        if (query.where != nullptr &&
+            !EvalWhereOnDocument(*query.where, *doc)) {
           continue;
         }
-        ++local.agg_count;
-        if (!has_value) continue;
-        if (query.agg == AggFunc::kMin) FoldMin(v, &local.agg_min);
-        if (query.agg == AggFunc::kMax) FoldMax(v, &local.agg_max);
-        if ((query.agg == AggFunc::kSum || query.agg == AggFunc::kAvg) &&
-            v.is_numeric()) {
-          local.agg_sum += v.NumericValue();
-        }
+        ReferenceFoldDocument(query, *doc, &local);
       }
     }
-    merged.total_matched += local.total_matched;
-    merged.agg_count += local.agg_count;
-    merged.agg_sum += local.agg_sum;
-    if (local.agg_min) FoldMin(*local.agg_min, &merged.agg_min);
-    if (local.agg_max) FoldMax(*local.agg_max, &merged.agg_max);
-    for (const auto& [key, group] : local.groups) {
-      GroupStats& into = merged.groups[key];
-      into.count += group.count;
-      into.sum += group.sum;
-      if (group.min) FoldMin(*group.min, &into.min);
-      if (group.max) FoldMax(*group.max, &into.max);
-    }
+    ReferenceMergeShard(local, &merged);
   }
   return merged;
 }
@@ -323,7 +262,7 @@ std::string Describe(const QueryResult& r) {
   return out;
 }
 
-// Checks `sql` against the reference answer under both engine flags.
+// Checks `sql` against the reference answer.
 // `tenant` names the tenant whose read fan-out the query routes to
 // (0: broadcast to every shard in ordinal order).
 void ExpectMatchesOracle(Esdb* db, const std::string& sql, TenantId tenant) {
@@ -337,12 +276,9 @@ void ExpectMatchesOracle(Esdb* db, const std::string& sql, TenantId tenant) {
   }
   const std::string expected =
       Describe(ReferenceAnswer(db, *query, targets));
-  for (const bool batch : {false, true}) {
-    db->SetBatchExecution(batch);
-    auto result = db->ExecuteSql(sql);
-    ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
-    EXPECT_EQ(Describe(*result), expected) << sql << " batch=" << batch;
-  }
+  auto result = db->ExecuteSql(sql);
+  ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+  EXPECT_EQ(Describe(*result), expected) << sql;
 }
 
 class GroupByOracleTest : public ::testing::Test {

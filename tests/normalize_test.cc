@@ -4,6 +4,7 @@
 #include "document/document.h"
 #include "query/normalize.h"
 #include "query/parser.h"
+#include "support/reference_eval.h"
 
 namespace esdb {
 namespace {
@@ -13,27 +14,6 @@ std::unique_ptr<Expr> ParseWhere(std::string_view where_clause) {
                     std::string(where_clause));
   EXPECT_TRUE(q.ok()) << q.status().ToString();
   return std::move(q.value().where);
-}
-
-// Reference evaluator: evaluates an Expr directly against a document.
-bool EvalExpr(const Expr& e, const Document& doc) {
-  switch (e.kind) {
-    case Expr::Kind::kPred:
-      return e.pred.Eval(doc.Get(e.pred.column));
-    case Expr::Kind::kNot:
-      return !EvalExpr(*e.children[0], doc);
-    case Expr::Kind::kAnd:
-      for (const auto& c : e.children) {
-        if (!EvalExpr(*c, doc)) return false;
-      }
-      return true;
-    case Expr::Kind::kOr:
-      for (const auto& c : e.children) {
-        if (EvalExpr(*c, doc)) return true;
-      }
-      return false;
-  }
-  return false;
 }
 
 Document RandomDoc(Rng& rng) {
@@ -158,7 +138,8 @@ TEST(PushDownNotProperty, EquivalentAndNormalized) {
     EXPECT_FALSE(HasStructuralNot(*nnf));
     for (int d = 0; d < 20; ++d) {
       const Document doc = RandomDoc(rng);
-      EXPECT_EQ(EvalExpr(*original, doc), EvalExpr(*nnf, doc))
+      EXPECT_EQ(EvalWhereOnDocument(*original, doc),
+                EvalWhereOnDocument(*nnf, doc))
           << original->ToString() << "  vs  " << nnf->ToString();
     }
   }
@@ -192,9 +173,9 @@ TEST(CnfDnfProperty, EquivalentToOriginal) {
     auto dnf = ToDnf(original->Clone());
     for (int d = 0; d < 20; ++d) {
       const Document doc = RandomDoc(rng);
-      const bool expected = EvalExpr(*original, doc);
-      EXPECT_EQ(EvalExpr(*cnf, doc), expected);
-      EXPECT_EQ(EvalExpr(*dnf, doc), expected);
+      const bool expected = EvalWhereOnDocument(*original, doc);
+      EXPECT_EQ(EvalWhereOnDocument(*cnf, doc), expected);
+      EXPECT_EQ(EvalWhereOnDocument(*dnf, doc), expected);
     }
   }
 }
@@ -276,7 +257,8 @@ TEST(MergeProperty, EquivalentToOriginal) {
     auto merged = MergePredicates(original->Clone());
     for (int d = 0; d < 20; ++d) {
       const Document doc = RandomDoc(rng);
-      EXPECT_EQ(EvalExpr(*original, doc), EvalExpr(*merged, doc))
+      EXPECT_EQ(EvalWhereOnDocument(*original, doc),
+                EvalWhereOnDocument(*merged, doc))
           << original->ToString() << "  vs  " << merged->ToString();
     }
   }
@@ -290,7 +272,8 @@ TEST(NormalizeProperty, FullPipelineEquivalent) {
     auto normalized = NormalizeForPlanning(original->Clone());
     for (int d = 0; d < 20; ++d) {
       const Document doc = RandomDoc(rng);
-      EXPECT_EQ(EvalExpr(*original, doc), EvalExpr(*normalized, doc))
+      EXPECT_EQ(EvalWhereOnDocument(*original, doc),
+                EvalWhereOnDocument(*normalized, doc))
           << original->ToString() << "  vs  " << normalized->ToString();
     }
   }

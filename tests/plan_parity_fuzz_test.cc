@@ -3,8 +3,8 @@
 // randomized query stream spanning the planner's query classes, the
 // cost-model-chosen plan must return results identical to every
 // forced access path — rules-only, composite index off, scan-list
-// off — under both the row and the vectorized batch engine. The cost
-// pass is a physical rewrite; any visible difference is a bug.
+// off. The cost pass is a physical rewrite; any visible difference is
+// a bug.
 //
 // The seed is printed via SCOPED_TRACE on failure; ESDB_FUZZ_ITERS
 // overrides the number of random queries.
@@ -218,16 +218,12 @@ TEST(PlanParityFuzz, CostedPlanMatchesEveryForcedPath) {
     const std::string sql = RandomQuery(rng);
     SCOPED_TRACE("seed=" + std::to_string(seed) + " iter=" +
                  std::to_string(i) + " sql=" + sql);
-    for (const bool batch : {false, true}) {
-      db->SetBatchExecution(batch);
-      auto reference = db->ExecuteSqlWithPlanner(sql, costed);
-      ASSERT_TRUE(reference.ok()) << reference.status().message();
-      for (const auto& forced : kForced) {
-        auto result = db->ExecuteSqlWithPlanner(sql, *forced.options);
-        ASSERT_TRUE(result.ok()) << result.status().message();
-        ExpectParity(*reference, *result,
-                     std::string(forced.name) + (batch ? " batch" : " row"));
-      }
+    auto reference = db->ExecuteSqlWithPlanner(sql, costed);
+    ASSERT_TRUE(reference.ok()) << reference.status().message();
+    for (const auto& forced : kForced) {
+      auto result = db->ExecuteSqlWithPlanner(sql, *forced.options);
+      ASSERT_TRUE(result.ok()) << result.status().message();
+      ExpectParity(*reference, *result, forced.name);
     }
   }
 }
