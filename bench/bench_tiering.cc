@@ -136,7 +136,10 @@ std::string ResultFingerprint(const QueryResult& result) {
   std::string out;
   out += "matched=" + std::to_string(result.total_matched);
   out += " count=" + std::to_string(result.agg_count);
-  for (const Document& doc : result.rows) out += "|" + doc.Serialize();
+  for (const Document& doc : result.rows) {
+    out += '|';
+    out += doc.Serialize();
+  }
   return out;
 }
 

@@ -13,7 +13,7 @@ DistributedEsdb::DistributedEsdb(Options options)
       routing_(MakeRoutingPolicy(options_.routing, options_.num_shards,
                                  options_.double_hash_offset)),
       dynamic_(dynamic_cast<DynamicSecondaryHashing*>(routing_.get())),
-      coordinator_(&options_.spec, routing_.get(), /*two_phase=*/true,
+      coordinator_(&options_.spec, routing_.get(),
                    [this](ShardId s) {
                      return ShardAt(s)->primary()->Snapshot();
                    }),

@@ -12,7 +12,7 @@ Esdb::Esdb(Options options)
       dynamic_(dynamic_cast<DynamicSecondaryHashing*>(routing_.get())),
       balancer_(options_.balancer),
       filter_cache_(options_.filter_cache),
-      coordinator_(&options_.spec, routing_.get(), options_.two_phase_queries,
+      coordinator_(&options_.spec, routing_.get(),
                    [this](ShardId s) { return Primary(s)->Snapshot(); }) {
   if (options_.tiering.enabled) {
     BlockCache::Options cache_options;

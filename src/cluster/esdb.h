@@ -60,10 +60,6 @@ class Esdb {
     bool with_replicas = false;
     ReplicationMode replication = ReplicationMode::kPhysical;
     LoadBalancer::Options balancer;
-    // Two-phase row queries (Section 3.2): collect row ids + sort
-    // keys from all shards, merge globally, fetch only the winners.
-    // Aggregates and group-bys always run single-phase.
-    bool two_phase_queries = true;
     // Per-segment filter cache for repeated (cacheable) plans.
     bool use_filter_cache = true;
     FilterCache::Options filter_cache;

@@ -138,65 +138,65 @@ Result<QueryResult> QueryCoordinator::Run(const Query& query,
   ThreadPool* pool = fan_out > kInlineFanOut ? call.pool.get() : nullptr;
   const PlanNode& plan = *p.plan;
 
-  // Two-phase path for row queries: the coordinator merges row ids +
-  // sort keys and fetches raw documents only for the global winners.
-  if (two_phase_ && query.agg == AggFunc::kNone && query.group_by.empty()) {
-    struct ShardRefs {
-      std::vector<RowRef> refs;
-      ExecStats stats;
-      uint64_t matched = 0;
-      bool exact = true;
-    };
-    std::vector<ShardRefs> shards(fan_out);
+  // Aggregates and GROUP BYs fold on each shard; the coordinator
+  // merges the accumulators.
+  if (query.agg != AggFunc::kNone || !query.group_by.empty()) {
+    std::vector<QueryResult> shard_results(fan_out);
+    std::vector<ExecStats> shard_stats(fan_out);
     ESDB_RETURN_IF_ERROR(FanOut(pool, fan_out, [&](size_t i) -> Status {
-      ShardRefs& s = shards[i];
       ESDB_ASSIGN_OR_RETURN(
-          s.refs, ExecuteQueryPhase(query, plan, *p.snapshots[i], uint32_t(i),
-                                    &s.stats, &s.matched, &s.exact,
-                                    call.cache, p.targets[i]));
+          shard_results[i],
+          ExecuteOnShard(query, plan, *p.snapshots[i], &shard_stats[i],
+                         call.cache, p.targets[i]));
       return Status::OK();
     }));
-    QueryResult result;
-    size_t total_refs = 0;
-    for (const ShardRefs& s : shards) {
-      stats->Add(s.stats);
-      result.total_matched += s.matched;
-      result.total_matched_exact = result.total_matched_exact && s.exact;
-      total_refs += s.refs.size();
-    }
-    std::vector<RowRef> all_refs;
-    all_refs.reserve(total_refs);
-    for (ShardRefs& s : shards) {
-      for (RowRef& ref : s.refs) all_refs.push_back(std::move(ref));
-    }
-    if (!query.order_by.empty()) SortRowRefs(query, &all_refs);
-    // Global offset + limit trim BEFORE any document is fetched.
-    if (query.offset > 0) {
-      const size_t skip = std::min(size_t(query.offset), all_refs.size());
-      all_refs.erase(all_refs.begin(), all_refs.begin() + long(skip));
-    }
-    if (query.limit >= 0 && int64_t(all_refs.size()) > query.limit) {
-      all_refs.resize(size_t(query.limit));
-    }
-    ESDB_ASSIGN_OR_RETURN(result.rows,
-                          ExecuteFetchPhase(query, p.snapshots, all_refs,
-                                            stats));
-    ProjectRows(query, &result.rows);
-    return result;
+    for (const ExecStats& shard : shard_stats) stats->Add(shard);
+    return AggregateResults(query, std::move(shard_results));
   }
 
-  // Single-phase path (aggregates, group-bys, or two-phase disabled).
-  std::vector<QueryResult> shard_results(fan_out);
-  std::vector<ExecStats> shard_stats(fan_out);
+  // Row queries run two-phase: the coordinator merges row ids + sort
+  // keys and fetches raw documents only for the global winners.
+  struct ShardRefs {
+    std::vector<RowRef> refs;
+    ExecStats stats;
+    uint64_t matched = 0;
+    bool exact = true;
+  };
+  std::vector<ShardRefs> shards(fan_out);
   ESDB_RETURN_IF_ERROR(FanOut(pool, fan_out, [&](size_t i) -> Status {
+    ShardRefs& s = shards[i];
     ESDB_ASSIGN_OR_RETURN(
-        shard_results[i],
-        ExecuteOnShard(query, plan, *p.snapshots[i], &shard_stats[i],
-                       call.cache, p.targets[i]));
+        s.refs, ExecuteQueryPhase(query, plan, *p.snapshots[i], uint32_t(i),
+                                  &s.stats, &s.matched, &s.exact, call.cache,
+                                  p.targets[i]));
     return Status::OK();
   }));
-  for (const ExecStats& shard : shard_stats) stats->Add(shard);
-  return AggregateResults(query, std::move(shard_results));
+  QueryResult result;
+  size_t total_refs = 0;
+  for (const ShardRefs& s : shards) {
+    stats->Add(s.stats);
+    result.total_matched += s.matched;
+    result.total_matched_exact = result.total_matched_exact && s.exact;
+    total_refs += s.refs.size();
+  }
+  std::vector<RowRef> all_refs;
+  all_refs.reserve(total_refs);
+  for (ShardRefs& s : shards) {
+    for (RowRef& ref : s.refs) all_refs.push_back(std::move(ref));
+  }
+  if (!query.order_by.empty()) SortRowRefs(query, &all_refs);
+  // Global offset + limit trim BEFORE any document is fetched.
+  if (query.offset > 0) {
+    const size_t skip = std::min(size_t(query.offset), all_refs.size());
+    all_refs.erase(all_refs.begin(), all_refs.begin() + long(skip));
+  }
+  if (query.limit >= 0 && int64_t(all_refs.size()) > query.limit) {
+    all_refs.resize(size_t(query.limit));
+  }
+  ESDB_ASSIGN_OR_RETURN(result.rows,
+                        ExecuteFetchPhase(query, p.snapshots, all_refs, stats));
+  ProjectRows(query, &result.rows);
+  return result;
 }
 
 Result<std::string> QueryCoordinator::Explain(std::string_view sql,

@@ -40,12 +40,9 @@ class QueryCoordinator {
     TierAdmission* admission = nullptr;  // RecordQuery per target shard
   };
 
-  // `two_phase`: row queries merge row refs globally and fetch only
-  // the winners; otherwise they run single-phase like aggregates.
   QueryCoordinator(const IndexSpec* spec, const RoutingPolicy* routing,
-                   bool two_phase, SnapshotFn snapshot)
-      : spec_(*spec), routing_(*routing), two_phase_(two_phase),
-        snapshot_(std::move(snapshot)) {}
+                   SnapshotFn snapshot)
+      : spec_(*spec), routing_(*routing), snapshot_(std::move(snapshot)) {}
 
   [[nodiscard]] Result<QueryResult> Execute(const Query& query,
                                             const Call& call);
@@ -85,7 +82,6 @@ class QueryCoordinator {
 
   const IndexSpec& spec_;
   const RoutingPolicy& routing_;
-  const bool two_phase_;
   const SnapshotFn snapshot_;
   mutable Mutex stats_mu_;  // leaf: guards only last_
   LastQuery last_ GUARDED_BY(stats_mu_);

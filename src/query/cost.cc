@@ -290,8 +290,8 @@ bool TryLimitPushdown(const Query& query, const IndexSpec& spec,
     topk->index_name = IndexSpec::CompositeName(*columns);
     // Every key starts with a type-rank byte < 0xff, so ["", "\xff")
     // spans the whole index.
-    topk->key_range.lo = "";
-    topk->key_range.hi = "\xff";
+    topk->key_range.lo.clear();
+    topk->key_range.hi.assign(1, '\xff');
     topk->eq_prefix_len = 0;
     topk->filters = std::move(root->filters);
   } else {

@@ -207,11 +207,17 @@ class TreeParser {
 // ---------------------------------------------------------------------
 // Rendering: Query -> DSL text.
 
+// Appends `s` as a quoted JSON string. Built by appends: GCC 12's
+// -Wrestrict misfires at -O3 on `"\"" + JsonEscape(s) + "\""`.
+void AppendJsonString(std::string_view s, std::string* out) {
+  out->push_back('"');
+  out->append(JsonEscape(s));
+  out->push_back('"');
+}
+
 void AppendJsonValue(const Value& v, std::string* out) {
   if (v.is_string()) {
-    out->push_back('"');
-    *out += JsonEscape(v.as_string());
-    out->push_back('"');
+    AppendJsonString(v.as_string(), out);
   } else {
     *out += v.ToString();
   }
@@ -246,7 +252,8 @@ std::string WildcardToLike(std::string_view wildcard) {
 }
 
 void RenderPredicate(const Predicate& p, std::string* out) {
-  const std::string col = "\"" + JsonEscape(p.column) + "\"";
+  std::string col;
+  AppendJsonString(p.column, &col);
   switch (p.op) {
     case PredOp::kEq:
       *out += "{\"term\": {" + col + ": ";
@@ -516,7 +523,8 @@ std::string QueryToDsl(const Query& query) {
       case AggFunc::kNone: break;
     }
     if (!query.agg_column.empty()) {
-      out += "\"field\": \"" + JsonEscape(query.agg_column) + "\"";
+      out += "\"field\": ";
+      AppendJsonString(query.agg_column, &out);
     }
     out += "}}}";
   }
@@ -524,7 +532,7 @@ std::string QueryToDsl(const Query& query) {
     out += ", \"_source\": [";
     for (size_t i = 0; i < query.select_columns.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "\"" + JsonEscape(query.select_columns[i]) + "\"";
+      AppendJsonString(query.select_columns[i], &out);
     }
     out += "]";
   }
@@ -532,8 +540,9 @@ std::string QueryToDsl(const Query& query) {
     out += ", \"sort\": [";
     for (size_t i = 0; i < query.order_by.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "{\"" + JsonEscape(query.order_by[i].column) + "\": \"" +
-             (query.order_by[i].descending ? "desc" : "asc") + "\"}";
+      out += "{";
+      AppendJsonString(query.order_by[i].column, &out);
+      out += query.order_by[i].descending ? ": \"desc\"}" : ": \"asc\"}";
     }
     out += "]";
   }

@@ -297,86 +297,6 @@ double ScoreFromDocValues(const ScoreStats& corpus, const Segment& segment,
   return ScoreDocument(corpus, scratch);
 }
 
-// A materialized row's sub-attribute `key`, parsed out of its
-// attributes string: the value the query phase reads from the
-// segment's sidecar for the column "attributes.<key>".
-Value SubAttribute(const Document& doc, std::string_view key) {
-  const Value& attrs = doc.Get(kFieldAttributes);
-  if (!attrs.is_string()) return Value::Null();
-  const auto parsed = ParseAttributes(attrs.as_string());
-  const auto it = parsed.find(std::string(key));
-  return it == parsed.end() ? Value::Null() : Value(it->second);
-}
-
-// ORDER BY comparator over materialized rows (single-phase sorts and
-// the coordinator's merge). "attributes.<key>" columns compare the
-// sub-attribute, as the query phase's sort keys do.
-bool DocumentLess(const Document& a, const Document& b,
-                  const std::vector<OrderBy>& order_by) {
-  for (const OrderBy& ob : order_by) {
-    const size_t dot = ob.column.find('.');
-    const bool sub_attribute = dot != std::string::npos &&
-                               ob.column.compare(0, dot, kFieldAttributes) == 0;
-    const std::string_view key = std::string_view(ob.column).substr(dot + 1);
-    const int c = sub_attribute
-                      ? SubAttribute(a, key).Compare(SubAttribute(b, key))
-                      : a.Get(ob.column).Compare(b.Get(ob.column));
-    if (c != 0) return ob.descending ? c > 0 : c < 0;
-  }
-  return false;
-}
-
-}  // namespace
-
-void GroupStats::Merge(const GroupStats& other) {
-  count += other.count;
-  sum += other.sum;
-  if (other.min && (!min || other.min->Compare(*min) < 0)) min = other.min;
-  if (other.max && (!max || other.max->Compare(*max) > 0)) max = other.max;
-}
-
-namespace {
-
-Document Project(const Query& query, Document doc) {
-  if (query.select_columns.empty()) return doc;
-  Document out;
-  for (const std::string& col : query.select_columns) {
-    out.Set(col, doc.Get(col));
-  }
-  return out;
-}
-
-// Stable bounded ORDER BY sort: with keep >= 0 and fewer winners than
-// rows this is std::partial_sort over row indices (original index as
-// the final tie-break reproduces std::stable_sort's tie order) —
-// O(n log keep) instead of a full sort when offset+limit is tiny.
-void SortRowsStableBounded(const Query& query, std::vector<Document>* rows,
-                           int64_t keep) {
-  if (keep >= 0 && int64_t(rows->size()) > keep) {
-    std::vector<uint32_t> idx(rows->size());
-    for (uint32_t i = 0; i < idx.size(); ++i) idx[i] = i;
-    std::partial_sort(idx.begin(), idx.begin() + long(keep), idx.end(),
-                      [&](uint32_t a, uint32_t b) {
-                        const Document& da = (*rows)[a];
-                        const Document& db = (*rows)[b];
-                        if (DocumentLess(da, db, query.order_by)) return true;
-                        if (DocumentLess(db, da, query.order_by)) return false;
-                        return a < b;
-                      });
-    std::vector<Document> out;
-    out.reserve(size_t(keep));
-    for (int64_t i = 0; i < keep; ++i) {
-      out.push_back(std::move((*rows)[idx[size_t(i)]]));
-    }
-    *rows = std::move(out);
-    return;
-  }
-  std::stable_sort(rows->begin(), rows->end(),
-                   [&](const Document& a, const Document& b) {
-                     return DocumentLess(a, b, query.order_by);
-                   });
-}
-
 // Answers an aggregate for one segment from its stats / index bounds
 // (kStatsOnly fast path). Returns false when the segment must fall
 // back to the wrapped scan plan: any tombstone invalidates the
@@ -480,11 +400,6 @@ void SortRowsStableBounded(const Query& query, std::vector<Document>* rows,
 
 }  // namespace
 
-void ProjectRows(const Query& query, std::vector<Document>* rows) {
-  if (query.select_columns.empty()) return;
-  for (Document& doc : *rows) doc = Project(query, std::move(doc));
-}
-
 Result<PostingList> EvalPlanCached(const PlanNode& plan,
                                    const SegmentView& view, ExecStats* stats,
                                    FilterCache* cache, uint64_t cache_domain,
@@ -505,24 +420,17 @@ Result<QueryResult> ExecuteOnShard(
     const Query& query, const PlanNode& plan, const ShardView& snapshot,
     ExecStats* stats, FilterCache* cache, uint64_t cache_domain,
     const ExecOptions&) {
+  if (query.agg == AggFunc::kNone && query.group_by.empty()) {
+    return Status::InvalidArgument(
+        "row queries run through the query and fetch phases");
+  }
   const std::string fingerprint =
       (cache != nullptr && IsCacheable(plan)) ? PlanFingerprint(plan)
                                               : std::string();
   QueryResult result;
-  const bool aggregating = query.agg != AggFunc::kNone;
-  const bool scoring = !aggregating && NeedsScoring(query);
-  ScoreStats corpus;
-  if (scoring) {
-    ESDB_ASSIGN_OR_RETURN(corpus,
-                          CollectScoreStats(query.where.get(), snapshot));
-  }
-  // Without ORDER BY the shard can stop once LIMIT rows are found.
-  const bool can_early_stop =
-      !aggregating && query.order_by.empty() && query.limit >= 0;
   // kStatsOnly applies per segment, and only to ungrouped aggregates.
-  const bool try_stats_only = plan.kind == PlanNode::Kind::kStatsOnly &&
-                              aggregating && query.group_by.empty();
-  const uint64_t pushdown_skips_before = stats->rows_skipped_by_pushdown;
+  const bool try_stats_only =
+      plan.kind == PlanNode::Kind::kStatsOnly && query.group_by.empty();
   // A bare full scan needs no candidate list on a tombstone-free
   // segment: every doc id 0..n-1 is live and matches.
   const bool bare_full_scan =
@@ -534,23 +442,20 @@ Result<QueryResult> ExecuteOnShard(
     // One pin per segment per query: a cold segment's decoded index
     // part is materialized through the block cache here (first touch
     // decompresses; later queries hit) and stays alive for the whole
-    // scan. Stored docs stay compressed — GetDocument below inflates
-    // one row block at a time.
+    // scan.
     ESDB_ASSIGN_OR_RETURN(const SegmentView view, raw.Pinned());
     if (try_stats_only) {
       ESDB_ASSIGN_OR_RETURN(const bool answered,
                             TryStatsOnly(query, plan, view, &result, stats));
       if (answered) continue;
     }
-    if (aggregating) {
-      aggregator.BeginSegment(*view);
-      if (bare_full_scan && view.num_deleted() == 0) {
-        const DocId n = DocId(view.num_docs());
-        stats->postings_considered += n;
-        result.total_matched += n;
-        for (DocId id = 0; id < n; ++id) aggregator.Add(id);
-        continue;
-      }
+    aggregator.BeginSegment(*view);
+    if (bare_full_scan && view.num_deleted() == 0) {
+      const DocId n = DocId(view.num_docs());
+      stats->postings_considered += n;
+      result.total_matched += n;
+      for (DocId id = 0; id < n; ++id) aggregator.Add(id);
+      continue;
     }
     ESDB_ASSIGN_OR_RETURN(PostingList candidates,
                           EvalPlanCached(plan, view, stats, cache,
@@ -558,31 +463,8 @@ Result<QueryResult> ExecuteOnShard(
     for (DocId id : candidates.ids()) {
       if (view.IsDeleted(id)) continue;
       ++result.total_matched;
-      if (aggregating) {
-        aggregator.Add(id);
-        continue;
-      }
-      ESDB_ASSIGN_OR_RETURN(Document doc, view.GetDocument(id));
-      ++stats->rows_materialized;
-      if (scoring) doc.Set(kFieldScore, Value(ScoreDocument(corpus, doc)));
-      result.rows.push_back(std::move(doc));
-      // Shards must over-fetch by the global offset (skipping is only
-      // correct after the coordinator's merge).
-      if (can_early_stop &&
-          int64_t(result.rows.size()) >= query.limit + query.offset) {
-        // Stopped before counting the remaining matches.
-        result.total_matched_exact = false;
-        return result;
-      }
+      aggregator.Add(id);
     }
-  }
-  if (stats->rows_skipped_by_pushdown != pushdown_skips_before) {
-    result.total_matched_exact = false;
-  }
-
-  if (!aggregating && !query.order_by.empty()) {
-    const int64_t keep = query.limit >= 0 ? query.limit + query.offset : -1;
-    SortRowsStableBounded(query, &result.rows, keep);
   }
   return result;
 }
@@ -711,13 +593,29 @@ Result<std::vector<Document>> ExecuteFetchPhase(
   return rows;
 }
 
-QueryResult AggregateResults(const Query& query,
+void ProjectRows(const Query& query, std::vector<Document>* rows) {
+  if (query.select_columns.empty()) return;
+  for (Document& doc : *rows) {
+    Document projected;
+    for (const std::string& col : query.select_columns) {
+      projected.Set(col, doc.Get(col));
+    }
+    doc = std::move(projected);
+  }
+}
+
+void GroupStats::Merge(const GroupStats& other) {
+  count += other.count;
+  sum += other.sum;
+  if (other.min && (!min || other.min->Compare(*min) < 0)) min = other.min;
+  if (other.max && (!max || other.max->Compare(*max) > 0)) max = other.max;
+}
+
+QueryResult AggregateResults(const Query&,
                              std::vector<QueryResult> shard_results) {
   QueryResult merged;
   for (QueryResult& r : shard_results) {
     merged.total_matched += r.total_matched;
-    merged.total_matched_exact =
-        merged.total_matched_exact && r.total_matched_exact;
     merged.agg_count += r.agg_count;
     merged.agg_sum += r.agg_sum;
     if (r.agg_min && (!merged.agg_min ||
@@ -729,25 +627,7 @@ QueryResult AggregateResults(const Query& query,
       merged.agg_max = r.agg_max;
     }
     for (auto& [key, group] : r.groups) merged.groups[key].Merge(group);
-    for (Document& doc : r.rows) merged.rows.push_back(std::move(doc));
   }
-  if (query.agg != AggFunc::kNone) return merged;
-
-  if (!query.order_by.empty()) {
-    const int64_t keep =
-        query.limit >= 0 ? query.limit + query.offset : -1;
-    SortRowsStableBounded(query, &merged.rows, keep);
-  }
-  if (query.offset > 0) {
-    const size_t skip =
-        std::min(size_t(query.offset), merged.rows.size());
-    merged.rows.erase(merged.rows.begin(),
-                      merged.rows.begin() + long(skip));
-  }
-  if (query.limit >= 0 && int64_t(merged.rows.size()) > query.limit) {
-    merged.rows.resize(size_t(query.limit));
-  }
-  for (Document& doc : merged.rows) doc = Project(query, std::move(doc));
   return merged;
 }
 

@@ -33,16 +33,16 @@ struct GroupStats {
   void Merge(const GroupStats& other);
 };
 
-// Result of a query executed on one shard (or, after aggregation, on
-// the whole tenant). Carries rows, global aggregate accumulators, or
-// per-group accumulators (GROUP BY).
+// Result of a query: the coordinator's fetched rows, or global
+// aggregate accumulators, or per-group accumulators (GROUP BY) — per
+// shard or, after AggregateResults, for the whole tenant.
 struct QueryResult {
   std::vector<Document> rows;
   uint64_t total_matched = 0;
-  // False when an early-terminating path (LIMIT early stop, ORDER-BY
-  // pushdown) stopped before counting every match — total_matched is
-  // then a lower bound, not the exact count. AggregateResults ANDs the
-  // per-shard flags so callers aren't lied to.
+  // False when an early-terminating query phase (LIMIT early stop,
+  // ORDER-BY pushdown) stopped before counting every match —
+  // total_matched is then a lower bound, not the exact count. The
+  // coordinator ANDs the per-shard flags so callers aren't lied to.
   bool total_matched_exact = true;
 
   // Aggregates (valid when the query had an AggFunc).
@@ -119,15 +119,17 @@ struct ExecStats {
                                            const SegmentView& view,
                                            ExecStats* stats);
 
-// Runs `query` (with its compiled `plan`) over a pinned shard view:
-// evaluates the plan per segment, drops docs deleted in that epoch's
-// tombstone overlay, materializes or aggregates, applies ORDER BY and
-// LIMIT shard-locally (the coordinator re-merges across shards). The
-// view is immutable, so this is safe against concurrent DML — a
-// query observes the frozen set of deletes it pinned. With a non-null
-// `cache`, cacheable plans reuse per-segment candidate lists (filter
-// cache). `cache_domain` identifies the shard the snapshot belongs to
-// (segment ids are shard-local, so the cache keys on both).
+// Runs an aggregate or GROUP BY `query` (with its compiled `plan`)
+// over a pinned shard view: evaluates the plan per segment, drops docs
+// deleted in that epoch's tombstone overlay and folds every match into
+// the shard's accumulators (AggregateResults merges the shards). A row
+// query is InvalidArgument: rows come only from ExecuteQueryPhase and
+// ExecuteFetchPhase. The view is immutable, so this is safe against
+// concurrent DML — a query observes the frozen set of deletes it
+// pinned. With a non-null `cache`, cacheable plans reuse per-segment
+// candidate lists (filter cache). `cache_domain` identifies the shard
+// the snapshot belongs to (segment ids are shard-local, so the cache
+// keys on both).
 [[nodiscard]] Result<QueryResult> ExecuteOnShard(
     const Query& query, const PlanNode& plan, const ShardView& snapshot,
     ExecStats* stats, FilterCache* cache = nullptr, uint64_t cache_domain = 0,
@@ -143,8 +145,9 @@ struct ExecStats {
                                    const std::string& fingerprint);
 
 // Coordinator-side aggregation (Section 3.2, "query result
-// aggregator"): merges per-shard results — global sort, limit, and
-// aggregate combination.
+// aggregator"): merges ExecuteOnShard's per-shard accumulators, in
+// shard order. The query argument is unread; perfbench/bench.cc still
+// passes one, as with ExecOptions.
 QueryResult AggregateResults(const Query& query,
                              std::vector<QueryResult> shard_results);
 
@@ -186,7 +189,8 @@ void SortRowRefs(const Query& query, std::vector<RowRef>* refs);
     const std::vector<RowRef>& refs, ExecStats* stats,
     const ExecOptions& = ExecOptions());
 
-// Applies SELECT-column projection in place (shared by both paths).
+// Applies SELECT-column projection in place to fetched rows (the last
+// step of a row query).
 void ProjectRows(const Query& query, std::vector<Document>* rows);
 
 // Full-text relevance scoring (ORDER BY _score [DESC]): a BM25-style

@@ -40,20 +40,20 @@ void TermBounds(const Predicate& p, std::string* lo, std::string* hi) {
   auto enc = [](const Value& v) { return v.EncodeSortable(); };
   switch (p.op) {
     case PredOp::kLt:
-      *lo = "";
+      lo->clear();
       *hi = enc(p.args[0]);
       break;
     case PredOp::kLe:
-      *lo = "";
+      lo->clear();
       *hi = enc(p.args[0]) + '\0';
       break;
     case PredOp::kGt:
       *lo = enc(p.args[0]) + '\0';
-      *hi = "\xff";
+      hi->assign(1, '\xff');
       break;
     case PredOp::kGe:
       *lo = enc(p.args[0]);
-      *hi = "\xff";
+      hi->assign(1, '\xff');
       break;
     case PredOp::kBetween:
       *lo = enc(p.args[0]);

@@ -64,7 +64,8 @@ std::string PlanNode::ToString(int indent) const {
     out += " filtered";
   }
   for (const auto& c : children) {
-    out += "\n" + c->ToString(indent + 1);
+    out += '\n';
+    out += c->ToString(indent + 1);
   }
   return out;
 }

@@ -87,7 +87,9 @@ Document WorkloadGenerator::MakeDocument(const RouteKey& key) {
   std::map<std::string, std::string> attrs;
   for (uint64_t i = 0; i < options_.sub_attributes_per_row; ++i) {
     const uint64_t rank = attr_zipf_.Sample(rng_);
-    attrs[SubAttributeKey(rank)] = "v" + std::to_string(rng_.Uniform(16));
+    std::string value = std::to_string(rng_.Uniform(16));
+    value.insert(0, 1, 'v');
+    attrs[SubAttributeKey(rank)] = std::move(value);
   }
   doc.Set(kFieldAttributes, Value(EncodeAttributes(attrs)));
   return doc;

@@ -71,6 +71,28 @@ std::vector<int64_t> BruteForce(const ShardStore& store, const Expr* where) {
   return out;
 }
 
+// A row query on one shard as the coordinator runs it: query phase,
+// ORDER BY, offset + limit, fetch of the winners, projection.
+std::vector<Document> RunRows(const Query& query, const PlanNode& plan,
+                              const SegmentSnapshot& snapshot,
+                              ExecStats* stats) {
+  uint64_t matched = 0;
+  auto refs = ExecuteQueryPhase(query, plan, *snapshot, 0, stats, &matched);
+  EXPECT_TRUE(refs.ok()) << refs.status().ToString();
+  if (!refs.ok()) return {};
+  if (!query.order_by.empty()) SortRowRefs(query, &*refs);
+  const size_t skip = std::min(size_t(query.offset), refs->size());
+  refs->erase(refs->begin(), refs->begin() + long(skip));
+  if (query.limit >= 0 && int64_t(refs->size()) > query.limit) {
+    refs->resize(size_t(query.limit));
+  }
+  auto rows = ExecuteFetchPhase(query, {snapshot}, *refs, stats);
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  if (!rows.ok()) return {};
+  ProjectRows(query, &*rows);
+  return std::move(rows).value();
+}
+
 std::vector<int64_t> RunPlan(const ShardStore& store, const Query& query,
                              const IndexSpec& spec,
                              const PlannerOptions& planner) {
@@ -80,10 +102,10 @@ std::vector<int64_t> RunPlan(const ShardStore& store, const Query& query,
   }
   auto plan = PlanWhere(normalized.get(), spec, planner);
   ExecStats stats;
-  auto result = ExecuteOnShard(query, *plan, *store.Snapshot(), &stats);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
   std::vector<int64_t> out;
-  for (const Document& doc : result->rows) out.push_back(doc.record_id());
+  for (const Document& doc : RunRows(query, *plan, store.Snapshot(), &stats)) {
+    out.push_back(doc.record_id());
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -214,12 +236,11 @@ TEST_F(ExecutorTest, OrderByAndLimit) {
   auto plan =
       PlanWhere(q.where.get(), spec_, PlannerOptions{});
   ExecStats stats;
-  auto result = ExecuteOnShard(q, *plan, *store_->Snapshot(), &stats);
-  ASSERT_TRUE(result.ok());
-  ASSERT_LE(result->rows.size(), 10u);
-  for (size_t i = 1; i < result->rows.size(); ++i) {
-    EXPECT_GE(result->rows[i - 1].created_time(),
-              result->rows[i].created_time());
+  const std::vector<Document> rows =
+      RunRows(q, *plan, store_->Snapshot(), &stats);
+  ASSERT_EQ(rows.size(), 10u);
+  for (size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_GE(rows[i - 1].created_time(), rows[i].created_time());
   }
 }
 
@@ -227,9 +248,8 @@ TEST_F(ExecutorTest, EarlyStopWithoutOrderBy) {
   const Query q = ParseQuery("SELECT * FROM t WHERE tenant_id = 1 LIMIT 3");
   auto plan = PlanWhere(q.where.get(), spec_, PlannerOptions{});
   ExecStats stats;
-  auto result = ExecuteOnShard(q, *plan, *store_->Snapshot(), &stats);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->rows.size(), 3u);
+  EXPECT_EQ(RunRows(q, *plan, store_->Snapshot(), &stats).size(), 3u);
+  EXPECT_EQ(stats.rows_materialized, 3u);
 }
 
 TEST_F(ExecutorTest, Projection) {
@@ -237,14 +257,33 @@ TEST_F(ExecutorTest, Projection) {
       ParseQuery("SELECT record_id, status FROM t WHERE tenant_id = 1");
   auto plan = PlanWhere(q.where.get(), spec_, PlannerOptions{});
   ExecStats stats;
-  auto shard = ExecuteOnShard(q, *plan, *store_->Snapshot(), &stats);
-  ASSERT_TRUE(shard.ok());
-  std::vector<QueryResult> results;
-  results.push_back(std::move(shard).value());
-  const QueryResult merged = AggregateResults(q, std::move(results));
-  ASSERT_FALSE(merged.rows.empty());
-  EXPECT_EQ(merged.rows[0].size(), 2u);
-  EXPECT_TRUE(merged.rows[0].Has("record_id"));
+  uint64_t matched = 0;
+  const SegmentSnapshot snapshot = store_->Snapshot();
+  auto refs = ExecuteQueryPhase(q, *plan, *snapshot, 0, &stats, &matched);
+  ASSERT_TRUE(refs.ok());
+  auto rows = ExecuteFetchPhase(q, {snapshot}, *refs, &stats);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_FALSE(rows->empty());
+  const std::vector<Document> stored = *rows;
+  ProjectRows(q, &*rows);
+  ASSERT_EQ(rows->size(), stored.size());
+  for (size_t i = 0; i < rows->size(); ++i) {
+    const Document& row = (*rows)[i];
+    EXPECT_EQ(row.size(), 2u);
+    EXPECT_EQ(row.Get(kFieldRecordId), stored[i].Get(kFieldRecordId));
+    EXPECT_EQ(row.Get("status"), stored[i].Get("status"));
+  }
+}
+
+// Rows come only from the query and fetch phases.
+TEST_F(ExecutorTest, ExecuteOnShardRejectsRowQueries) {
+  const Query q = ParseQuery("SELECT * FROM t WHERE tenant_id = 1 LIMIT 3");
+  auto plan = PlanWhere(q.where.get(), spec_, PlannerOptions{});
+  ExecStats stats;
+  auto result = ExecuteOnShard(q, *plan, *store_->Snapshot(), &stats);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(stats.rows_materialized, 0u);
 }
 
 TEST_F(ExecutorTest, Aggregates) {
@@ -378,16 +417,14 @@ TEST_F(ExecutorTest, OptimizerReducesPostingsConsidered) {
 
   auto rbo_plan = PlanWhere(normalized.get(), spec_, PlannerOptions{});
   ExecStats rbo_stats;
-  ASSERT_TRUE(
-      ExecuteOnShard(q, *rbo_plan, *store_->Snapshot(), &rbo_stats).ok());
+  RunRows(q, *rbo_plan, store_->Snapshot(), &rbo_stats);
 
   PlannerOptions baseline;
   baseline.use_composite_index = false;
   baseline.use_scan_list = false;
   auto base_plan = PlanWhere(normalized.get(), spec_, baseline);
   ExecStats base_stats;
-  ASSERT_TRUE(
-      ExecuteOnShard(q, *base_plan, *store_->Snapshot(), &base_stats).ok());
+  RunRows(q, *base_plan, store_->Snapshot(), &base_stats);
 
   EXPECT_LT(rbo_stats.postings_considered, base_stats.postings_considered);
 }

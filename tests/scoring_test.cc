@@ -100,9 +100,8 @@ TEST_F(ScoringTest, WithoutScoreSortNoScoreField) {
 // BM25's N and df count the live docs of a shard's pinned snapshot,
 // so how refreshes, merges and deletes cut those docs into segments
 // must not move any score. Every layout of the same live docs in one
-// shard must give each record a bit-identical _score, through both the
-// two-phase (doc-value) and the single-phase scorer.
-class ScoreLayoutTest : public ::testing::TestWithParam<bool> {
+// shard must give each record a bit-identical _score.
+class ScoreLayoutTest : public ::testing::Test {
  protected:
   static constexpr const char* kSql =
       "SELECT record_id, _score FROM t WHERE MATCH(title, 'novel') OR "
@@ -112,7 +111,6 @@ class ScoreLayoutTest : public ::testing::TestWithParam<bool> {
     Esdb::Options options;
     options.num_shards = 1;
     options.routing = RoutingKind::kHash;
-    options.two_phase_queries = GetParam();
     options.store.refresh_doc_count = 0;
     return std::make_unique<Esdb>(std::move(options));
   }
@@ -165,7 +163,7 @@ class ScoreLayoutTest : public ::testing::TestWithParam<bool> {
   static size_t Segments(Esdb* db) { return db->shard(0)->Snapshot()->size(); }
 };
 
-TEST_P(ScoreLayoutTest, ScoresDoNotDependOnSegmentLayout) {
+TEST_F(ScoreLayoutTest, ScoresDoNotDependOnSegmentLayout) {
   const auto expected = OneSegmentScores({1, 2, 3, 4, 5, 6, 7, 8, 9});
   ASSERT_EQ(expected.size(), 7u);  // records 4 and 8 match neither term
 
@@ -206,9 +204,6 @@ TEST_P(ScoreLayoutTest, ScoresDoNotDependOnSegmentLayout) {
   }
   EXPECT_EQ(Scores(merged.get()), expected) << "after the merge";
 }
-
-INSTANTIATE_TEST_SUITE_P(TwoPhaseAndSinglePhase, ScoreLayoutTest,
-                         ::testing::Bool());
 
 }  // namespace
 }  // namespace esdb

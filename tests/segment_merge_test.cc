@@ -96,7 +96,10 @@ Document MakeDoc(Rng& rng, int input, int64_t record) {
   } else if (rng.Bernoulli(0.8)) {
     std::map<std::string, std::string> attrs;
     for (uint64_t k = 0, n = rng.Uniform(4); k < n; ++k) {
-      attrs[kKeys[rng.Uniform(4)]] = "x" + std::to_string(rng.Uniform(5));
+      // Draws the value before the key: the corpus depends on the order.
+      std::string value = std::to_string(rng.Uniform(5));
+      value.insert(0, 1, 'x');
+      attrs[kKeys[rng.Uniform(4)]] = std::move(value);
     }
     doc.Set(kFieldAttributes, Value(EncodeAttributes(attrs)));
   }
