@@ -9,7 +9,7 @@
 // write delay stays bounded.
 //
 // Gates (exit 1 on failure — mechanism checks, never raw timing):
-//   identity       the real engine (DistributedEsdb) produces
+//   identity       the real engine (a multi-node Esdb) produces
 //                  bit-identical query results with live migrations
 //                  running vs a migration-free twin fed the same ops
 //   determinism    the sim scenario reproduces exactly under its seed
@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "cluster/distributed.h"
+#include "cluster/esdb.h"
 
 using namespace esdb;  // NOLINT
 
@@ -131,18 +131,19 @@ Document MakeLog(int64_t tenant, int64_t record, int64_t time,
   return doc;
 }
 
-// Engine-level identity: feed two real DistributedEsdb clusters the
+// Engine-level identity: feed two real multi-node Esdb clusters the
 // same acknowledged op stream; one migrates continuously (balancer
 // cycles + forced moves), the other never does. Every query class
 // must return identical results — migration may move data, never
 // change it.
 bool EngineIdentity(const BenchConfig& cfg, uint64_t* cutovers) {
-  DistributedEsdb::Options options;
+  Esdb::Options options;
   options.num_shards = 16;
   options.routing = RoutingKind::kDynamic;
   options.store.refresh_doc_count = 0;
-  DistributedEsdb migrating(options);
-  DistributedEsdb still(options);
+  options.with_replicas = true;
+  Esdb migrating(options);
+  Esdb still(options);
   for (NodeId node = 1; node <= 4; ++node) {
     if (!migrating.AddNode(node).ok()) return false;
     if (!still.AddNode(node).ok()) return false;

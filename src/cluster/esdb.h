@@ -1,13 +1,18 @@
 #ifndef ESDB_CLUSTER_ESDB_H_
 #define ESDB_CLUSTER_ESDB_H_
 
+#include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "balancer/load_balancer.h"
 #include "balancer/monitor.h"
+#include "balancer/shard_heat.h"
+#include "cluster/migration.h"
 #include "cluster/query_coordinator.h"
+#include "cluster/shard_allocator.h"
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
@@ -21,11 +26,31 @@
 
 namespace esdb {
 
-// In-process ESDB instance: N shards (each a ShardStore, optionally
-// with a physical/logical replica), a routing policy, a workload
-// monitor and a load balancer. This is the *real engine*: writes are
+// The ESDB cluster (Figure 3) in one process: N shards, each a
+// primary ShardStore with an optional physical/logical replica, a
+// routing policy, a workload monitor and load balancer (Algorithm 1),
+// the query coordinator with its pool and filter cache, hot/cold
+// tiering, and — once nodes are named — shard placement, failover and
+// live shard migration. This is the *real engine*: writes are
 // indexed, SQL is parsed/optimized/executed. Cluster-scale resource
 // contention (CPU, queues) is studied separately in sim/cluster_sim.h.
+//
+// Nodes. An Esdb that never names a node is a single in-process
+// instance and accepts work at once. AddNode (which needs
+// with_replicas) turns it into a multi-node cluster: shards are placed
+// on named nodes by the shard allocator, and from then on writes and
+// queries need at least two nodes (replicas live on a different node
+// than their primary). A failed node's primaries fail over to their
+// replicas (translog-tail replay) and its replicas are rebuilt on the
+// survivors, the recovery story of Sections 3.3 and 5.2.
+//
+// One write path: route -> monitor -> tier admission -> migrator ->
+// heat. The migrator sees every acknowledged op of a migrating shard
+// (queue or mirror); for an idle shard its Apply is a plain source
+// apply. One shard table: by shard id, each slot a shared_ptr that
+// failover, migration cutover and InstallShard rebind; every reader
+// copies the pointer under a leaf mutex, so a rebind never frees a
+// shard mid-query or mid-write.
 //
 // Thread model: the searchable state of every shard is an epoch-
 // published immutable view — segment list AND copy-on-write tombstone
@@ -38,15 +63,17 @@ namespace esdb {
 // against a pinned list), so no write/read phasing is required
 // anywhere. Balancing cycles themselves (RunBalanceCycle,
 // InitializeRulesFromStorage) are driven from one maintenance thread
-// at a time. Writes stay single-writer
-// per shard (ShardStore's internal writer mutex); concurrent callers
+// at a time. Writes stay single-writer per shard; concurrent callers
 // of Apply targeting the same shard serialize there, nothing else.
+// Membership operations (Add/Remove/FailNode, migration cutover via
+// DriveMigrations, InstallShard, Set*Threads) are externally
+// serialized ("nodes" are failure domains, not threads).
 // With query_threads > 0 each query fans its per-shard subqueries out
 // over an internal pool (tenant-scoped queries touching at most two
 // shards run inline — the handoff costs more than it buys); with
 // maintenance_threads > 0 RefreshAll fans refresh+merge (and the
 // replication round) out the same way. See DESIGN.md "Thread model".
-class Esdb {
+class Esdb : public MigrationHost {
  public:
   struct Options {
     uint32_t num_shards = 64;
@@ -55,8 +82,8 @@ class Esdb {
     IndexSpec spec = IndexSpec::TransactionLogDefault();
     ShardStore::Options store;
     PlannerOptions planner;
-    // Enable per-shard replicas (costs memory; most query benches
-    // only need primaries).
+    // Per-shard replicas (costs memory; most query benches only need
+    // primaries). Required by AddNode: failover promotes replicas.
     bool with_replicas = false;
     ReplicationMode replication = ReplicationMode::kPhysical;
     LoadBalancer::Options balancer;
@@ -89,9 +116,37 @@ class Esdb {
       TierAdmission::Options admission;
     };
     TieringOptions tiering;
+    // Live shard migration (DESIGN.md §13): per-shard heat, the
+    // planner that picks moves, and the migrator's copy batching.
+    ShardHeatTracker::Options heat;
+    MigrationPlanner::Options migration_planner;
+    ShardMigrator::Options migration;
   };
 
   explicit Esdb(Options options);
+
+  // --- Membership ------------------------------------------------------
+
+  // Registers a node (FailedPrecondition without with_replicas). Once
+  // two nodes exist, shards are allocated; later joins trigger
+  // rebalancing moves (replicas rebuilt at their new node; primaries
+  // hand over in place).
+  [[nodiscard]] Status AddNode(NodeId node);
+  // Graceful departure: shards move off first.
+  [[nodiscard]] Status RemoveNode(NodeId node);
+  // Crash: primaries on the node fail over to their replicas; replicas
+  // on the node are rebuilt elsewhere. The node leaves the cluster.
+  [[nodiscard]] Status FailNode(NodeId node);
+
+  size_t num_nodes() const { return allocator_.num_nodes(); }
+  bool ready() const { return allocator_.allocated(); }
+  // Placement; 0 (no node) until two nodes exist.
+  NodeId PrimaryNodeOf(ShardId shard) const {
+    return ready() ? allocator_.Of(shard).primary : 0;
+  }
+  NodeId ReplicaNodeOf(ShardId shard) const {
+    return ready() ? allocator_.Of(shard).replica : 0;
+  }
 
   // --- Write path -----------------------------------------------------
 
@@ -108,7 +163,8 @@ class Esdb {
   // Deletes by routing key (tenant + record + original creation time).
   [[nodiscard]] Status Delete(TenantId tenant, RecordId record, Micros created_time);
 
-  // Makes all buffered writes searchable.
+  // Makes all buffered writes searchable: one refresh+merge round per
+  // shard, plus its replication round when the shard has a replica.
   void RefreshAll();
 
   // --- Query path -----------------------------------------------------
@@ -126,6 +182,7 @@ class Esdb {
                                             const PlannerOptions& planner);
 
   // EXPLAIN and SQL DML: see QueryCoordinator::Explain / ExecuteDml.
+  // DML writes go through Apply, and so through the migrator.
   [[nodiscard]] Result<std::string> ExplainSql(std::string_view sql);
   [[nodiscard]] Result<uint64_t> ExecuteDmlSql(std::string_view sql);
 
@@ -169,6 +226,36 @@ class Esdb {
   // Initialization phase: seeds rules from current per-tenant storage.
   size_t InitializeRulesFromStorage(Micros effective_time);
 
+  // --- Live shard migration ---------------------------------------------
+
+  // Manually begins migrating `shard`'s primary to node `to` (the
+  // balancer path goes through MaybeMigrate). The migration is then
+  // advanced by DriveMigrations().
+  [[nodiscard]] Status StartMigration(ShardId shard, NodeId to);
+
+  // Advances every in-flight migration until it completes, aborts, or
+  // hits a transient (Unavailable) step; cutover counts as a
+  // membership operation and is therefore serialized with
+  // Add/Remove/FailNode by the caller, like every other membership
+  // op. Returns the number of cutovers performed.
+  size_t DriveMigrations();
+
+  // One migration-balancer cycle: asks the planner for moves from the
+  // shard heat, starts them, then decays the heat counters. Returns
+  // the number started.
+  size_t MaybeMigrate();
+
+  MigrationPhase MigrationPhaseOf(ShardId shard) const {
+    return migrator_->phase(shard);
+  }
+  ShardMigrator* migrator() { return migrator_.get(); }
+  ShardHeatTracker* heat() { return &heat_; }
+
+  // MigrationHost (called by the migrator with the slot lock held):
+  std::shared_ptr<ReplicatedShard> MigrationSource(ShardId shard) override;
+  [[nodiscard]] Status InstallMigrated(
+      ShardId shard, NodeId to, std::unique_ptr<ShardStore> target) override;
+
   // --- Tiering --------------------------------------------------------
 
   // One tiering admission/eviction cycle: classifies every shard from
@@ -194,26 +281,49 @@ class Esdb {
   const DynamicSecondaryHashing* dynamic_routing() const { return dynamic_; }
   uint32_t num_shards() const { return options_.num_shards; }
   FilterCache* filter_cache() { return &filter_cache_; }
-  ShardStore* shard(ShardId id) { return Primary(id); }
+  // The shard's current primary store. The pointer stays valid only
+  // until the slot is rebound — by FailNode, a migration cutover or
+  // InstallShard — so do not hold it across membership operations.
+  ShardStore* shard(ShardId id) { return ShardAt(id)->primary(); }
+  const ShardStore* shard(ShardId id) const { return ShardAt(id)->primary(); }
   const IndexSpec& spec() const { return options_.spec; }
   WorkloadMonitor* monitor() { return &monitor_; }
-
-  const ShardStore* shard(ShardId id) const { return Primary(id); }
   bool with_replicas() const { return options_.with_replicas; }
 
-  // Replaces a shard's store (cluster-checkpoint restore). Only valid
-  // for clusters built without replicas.
+  // Replaces a shard's primary store (cluster-checkpoint restore); with
+  // replicas, the replica is rebuilt from it by peer recovery. Fails
+  // while the shard is migrating.
   [[nodiscard]] Status InstallShard(ShardId id, std::unique_ptr<ShardStore> store);
 
   // Per-shard live doc counts (shard-size distribution, Figure 13d).
   std::vector<size_t> ShardDocCounts() const;
   size_t TotalDocs() const;
+  // Searchable docs per node, counting primaries only.
+  std::map<NodeId, size_t> DocsByNode() const;
   // Total replica maintenance cost counters (Figure 15 driver).
   ReplicationStats TotalReplicationStats() const;
+  uint64_t failovers() const { return failovers_; }
+  uint64_t replicas_rebuilt() const { return replicas_rebuilt_; }
 
  private:
-  ShardStore* Primary(ShardId id);
-  const ShardStore* Primary(ShardId id) const;
+  // OK unless nodes have been named and fewer than two remain placed.
+  [[nodiscard]] Status CheckReady() const;
+  // Copies the shard pointer out under shards_mu_ — the only way the
+  // shard table is read, so a concurrent rebind can never free a
+  // shard mid-query (the copy pins it).
+  std::shared_ptr<ReplicatedShard> ShardAt(ShardId id) const;
+  // A shard around `primary` (null: an empty store), with a replica
+  // when options say so.
+  std::shared_ptr<ReplicatedShard> MakeShard(
+      std::unique_ptr<ShardStore> primary) const;
+  // The one place a slot of the shard table changes: InstallShard,
+  // failover and migration cutover all come through here.
+  void Rebind(ShardId id, std::shared_ptr<ReplicatedShard> shard);
+  // Aborts every active migration whose source or target is `node`.
+  [[nodiscard]] Status AbortMigrationsTouching(NodeId node);
+  // Rebuilds the replica of every shard a placement move relocated.
+  [[nodiscard]] Status RebuildMovedReplicas(
+      const std::vector<ShardAllocator::Move>& moves);
   // A coordinator call lent this instance's query pool, filter cache
   // and tier admission.
   QueryCoordinator::Call QueryCall(const PlannerOptions& planner);
@@ -222,18 +332,27 @@ class Esdb {
                         const std::vector<RuleProposal>& proposals);
 
   // The cluster skeleton below is fixed at construction; the only
-  // post-construction writes are the admin entry points (Set*Threads
-  // touches the thread-count fields of options_, InstallShard rebinds
-  // one shards_ slot), which callers serialize. pool_mu_ guards only
-  // what it annotates.
+  // post-construction writes are the admin and membership entry points
+  // (Set*Threads touches the thread-count fields of options_;
+  // Add/Remove/FailNode and cutover mutate the allocator), which
+  // callers serialize. pool_mu_ and shards_mu_ guard only what they
+  // annotate.
   Options options_;  // lint:unguarded(thread-count fields mutated only by serialized admin Set*Threads)
+  ShardAllocator allocator_;  // lint:unguarded(membership ops are externally serialized)
   std::unique_ptr<RoutingPolicy> routing_;  // lint:unguarded(fixed at construction)
   DynamicSecondaryHashing* dynamic_ = nullptr;  // owned by routing_  lint:unguarded(fixed at construction)
-  // Either plain stores or replicated shards, by options.
-  std::vector<std::unique_ptr<ShardStore>> shards_;  // lint:unguarded(shape fixed at construction; InstallShard is externally serialized)
-  std::vector<std::unique_ptr<ReplicatedShard>> replicated_;  // lint:unguarded(shape fixed at construction; elements internally synchronized)
+  // Shard table: shape fixed at construction, but slots are REBOUND
+  // (Rebind) while queries and writes run, so every read copies the
+  // shared_ptr under this tiny mutex. Leaf lock: taken under the
+  // migrator's slot lock (MigrationSource, InstallMigrated) and never
+  // held while calling into a shard.
+  mutable Mutex shards_mu_;
+  std::vector<std::shared_ptr<ReplicatedShard>> shards_
+      GUARDED_BY(shards_mu_);  // by shard id
   WorkloadMonitor monitor_;  // lint:unguarded(internally synchronized)
   LoadBalancer balancer_;  // lint:unguarded(driven only from the serialized maintenance path)
+  // Keyed by store uid (ShardStore::uid), so a rebound slot never
+  // serves the old store's cached candidates.
   FilterCache filter_cache_;  // lint:unguarded(internally synchronized, striped)
   // Tiering control plane; both null unless options.tiering.enabled.
   // The cache is shared_ptr because every ShardStore (and the cold
@@ -249,6 +368,15 @@ class Esdb {
   mutable Mutex pool_mu_;
   std::shared_ptr<ThreadPool> query_pool_ GUARDED_BY(pool_mu_);
   std::shared_ptr<ThreadPool> maintenance_pool_ GUARDED_BY(pool_mu_);
+  // Migration telemetry and machinery. The migrator is behind a
+  // unique_ptr only because it needs `this` as its MigrationHost.
+  ShardHeatTracker heat_;  // lint:unguarded(internally atomic counters)
+  MigrationPlanner migration_planner_;  // lint:unguarded(stateless after construction)
+  std::unique_ptr<ShardMigrator> migrator_;  // lint:unguarded(fixed at construction; internally synchronized)
+  // Atomic: bumped on the (serialized) membership path but read by
+  // stats accessors from any thread.
+  std::atomic<uint64_t> failovers_{0};
+  std::atomic<uint64_t> replicas_rebuilt_{0};
   QueryCoordinator coordinator_;  // lint:unguarded(bindings fixed at construction; internally synchronized)
 };
 

@@ -60,6 +60,7 @@ struct QueryCoordinator::Prepared {
   std::unique_ptr<Expr> normalized;
   std::unique_ptr<PlanNode> plan;
   std::vector<SegmentSnapshot> snapshots;
+  std::vector<uint64_t> cache_domains;  // per target, see ShardSnapshot
   std::optional<CostDecision> decision;  // set when costed
 };
 
@@ -90,7 +91,12 @@ QueryCoordinator::Prepared QueryCoordinator::Prepare(
   // publishes new epochs, or a failover or cutover rebinds the shard,
   // mid-query.
   p.snapshots.reserve(p.targets.size());
-  for (ShardId shard : p.targets) p.snapshots.push_back(snapshot_(shard));
+  p.cache_domains.reserve(p.targets.size());
+  for (ShardId shard : p.targets) {
+    ShardSnapshot pinned = snapshot_(shard);
+    p.snapshots.push_back(std::move(pinned.segments));
+    p.cache_domains.push_back(pinned.cache_domain);
+  }
 
   // Cost-based transform pass (query/cost.h): rewrites the rule-based
   // plan against the pinned snapshots' column sketches. Runs after the
@@ -147,7 +153,7 @@ Result<QueryResult> QueryCoordinator::Run(const Query& query,
       ESDB_ASSIGN_OR_RETURN(
           shard_results[i],
           ExecuteOnShard(query, plan, *p.snapshots[i], &shard_stats[i],
-                         call.cache, p.targets[i]));
+                         call.cache, p.cache_domains[i]));
       return Status::OK();
     }));
     for (const ExecStats& shard : shard_stats) stats->Add(shard);
@@ -168,7 +174,7 @@ Result<QueryResult> QueryCoordinator::Run(const Query& query,
     ESDB_ASSIGN_OR_RETURN(
         s.refs, ExecuteQueryPhase(query, plan, *p.snapshots[i], uint32_t(i),
                                   &s.stats, &s.matched, &s.exact, call.cache,
-                                  p.targets[i]));
+                                  p.cache_domains[i]));
     return Status::OK();
   }));
   QueryResult result;

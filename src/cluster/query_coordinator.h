@@ -17,25 +17,31 @@
 
 namespace esdb {
 
-// The query coordinator of Section 3.2, shared by both cluster front-
-// ends (Esdb, DistributedEsdb): route by tenant, normalize, plan, pin
-// one snapshot per target shard, cost the plan against those
-// snapshots, fan out, merge and — for row queries — fetch only the
-// global winners. EXPLAIN and the row selection behind UPDATE/DELETE
-// run the same pipeline. A front-end binds its spec, routing policy
-// and a function returning shard s's primary snapshot; each call
-// lends a planner, an optional pool and an optional filter cache.
-// Thread-safe.
+// The query coordinator of Section 3.2, the one query path of the
+// cluster (Esdb): route by tenant, normalize, plan, pin one snapshot
+// per target shard, cost the plan against those snapshots, fan out,
+// merge and — for row queries — fetch only the global winners.
+// EXPLAIN and the row selection behind UPDATE/DELETE run the same
+// pipeline. The owner binds its spec, routing policy and a function
+// returning shard s's primary snapshot; each call lends a planner, an
+// optional pool and an optional filter cache. Thread-safe.
 class QueryCoordinator {
  public:
-  using SnapshotFn = std::function<SegmentSnapshot(ShardId)>;
+  // One shard's pinned primary snapshot and the filter-cache domain
+  // of its segments: the uid of the store that owns them (segment ids
+  // are store-local), so cached candidates stay sound when failover,
+  // migration cutover or a restore rebinds the shard id to another
+  // store.
+  struct ShardSnapshot {
+    SegmentSnapshot segments;
+    uint64_t cache_domain = 0;
+  };
+  using SnapshotFn = std::function<ShardSnapshot(ShardId)>;
 
-  // What one call borrows from its front-end.
+  // What one call borrows from its owner.
   struct Call {
     PlannerOptions planner;
     std::shared_ptr<ThreadPool> pool = nullptr;  // pinned; null = serial
-    // Keys on (shard id, shard-local segment id): only sound while
-    // every shard id keeps naming the same store.
     FilterCache* cache = nullptr;
     TierAdmission* admission = nullptr;  // RecordQuery per target shard
   };

@@ -20,6 +20,26 @@ Value ResolveFieldValue(const Segment& segment, DocId id,
       batch::SlotSource::Resolve(segment, field).Read(id));
 }
 
+// The same resolution on a fetched document (SlotSource::Resolve's
+// order): a stored field of that name first, else an
+// "attributes.<key>" virtual column read from the document's
+// attributes string, parsed as the sidecar parses it.
+Value ResolveFieldValue(const Document& doc, const std::string& field) {
+  if (doc.Has(field)) return doc.Get(field);
+  const size_t dot = field.find('.');
+  if (dot == std::string::npos ||
+      field.compare(0, dot, kFieldAttributes) != 0) {
+    return Value::Null();
+  }
+  const Value& attributes = doc.Get(kFieldAttributes);
+  if (!attributes.is_string()) return Value::Null();
+  const std::string_view key = std::string_view(field).substr(dot + 1);
+  for (const auto& [k, v] : ParseAttributeViews(attributes.as_string())) {
+    if (k == key) return Value(std::string(v));
+  }
+  return Value::Null();
+}
+
 PostingList ApplyFilters(const Segment& segment, PostingList candidates,
                          const std::vector<FilterPred>& filters,
                          ExecStats* stats) {
@@ -598,7 +618,7 @@ void ProjectRows(const Query& query, std::vector<Document>* rows) {
   for (Document& doc : *rows) {
     Document projected;
     for (const std::string& col : query.select_columns) {
-      projected.Set(col, doc.Get(col));
+      projected.Set(col, ResolveFieldValue(doc, col));
     }
     doc = std::move(projected);
   }

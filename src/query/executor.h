@@ -127,8 +127,8 @@ struct ExecStats {
 // ExecuteFetchPhase. The view is immutable, so this is safe against
 // concurrent DML — a query observes the frozen set of deletes it
 // pinned. With a non-null `cache`, cacheable plans reuse per-segment
-// candidate lists (filter cache). `cache_domain` identifies the shard
-// the snapshot belongs to (segment ids are shard-local, so the cache
+// candidate lists (filter cache). `cache_domain` identifies the store
+// the snapshot belongs to (segment ids are store-local, so the cache
 // keys on both).
 [[nodiscard]] Result<QueryResult> ExecuteOnShard(
     const Query& query, const PlanNode& plan, const ShardView& snapshot,
@@ -190,7 +190,8 @@ void SortRowRefs(const Query& query, std::vector<RowRef>* refs);
     const ExecOptions& = ExecOptions());
 
 // Applies SELECT-column projection in place to fetched rows (the last
-// step of a row query).
+// step of a row query). Columns resolve as WHERE and ORDER BY resolve
+// them, so an "attributes.<key>" column projects the sub-attribute.
 void ProjectRows(const Query& query, std::vector<Document>* rows);
 
 // Full-text relevance scoring (ORDER BY _score [DESC]): a BM25-style

@@ -15,7 +15,8 @@ namespace esdb {
 
 // Elasticsearch-style filter cache: caches a plan's candidate posting
 // list per (domain, segment id, plan fingerprint) — the domain is the
-// owning shard's id, because segment ids are only unique per shard.
+// owning store's uid (ShardStore::uid), because segment ids are only
+// unique per store.
 // Safe because segments are immutable — deletes are tombstones applied AFTER candidate
 // generation, so a cached list never returns a deleted row. Plans
 // containing a FullScan node are not cacheable (LiveDocs shrinks as
@@ -61,7 +62,7 @@ class FilterCache {
 
  private:
   struct Key {
-    uint64_t domain;  // owning shard id (segment ids are shard-local)
+    uint64_t domain;  // owning store's uid (segment ids are store-local)
     uint64_t segment_id;
     std::string fingerprint;
     bool operator==(const Key& other) const {

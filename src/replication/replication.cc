@@ -85,20 +85,19 @@ Result<ReplicationStats> ReplicateRound(const ShardStore& primary,
 
 ReplicatedShard::ReplicatedShard(const IndexSpec* spec,
                                  ShardStore::Options options,
-                                 ReplicationMode mode)
-    : ReplicatedShard(spec, options, mode,
-                      std::make_unique<ShardStore>(spec, options)) {}
-
-ReplicatedShard::ReplicatedShard(const IndexSpec* spec,
-                                 ShardStore::Options options,
-                                 ReplicationMode mode,
+                                 std::optional<ReplicationMode> replication,
                                  std::unique_ptr<ShardStore> primary)
-    : spec_(spec), options_(options), mode_(mode) {
-  primary_ = std::move(primary);
-  replica_ = std::make_unique<ShardStore>(spec, options);
+    : spec_(spec),
+      options_(options),
+      mode_(replication.value_or(ReplicationMode::kPhysical)),
+      has_replica_(replication.has_value()) {
+  primary_ = primary != nullptr ? std::move(primary)
+                                : std::make_unique<ShardStore>(spec, options);
+  if (has_replica_) replica_ = std::make_unique<ShardStore>(spec, options);
 }
 
 Status ReplicatedShard::ResetReplica() {
+  if (!has_replica_) return Status::FailedPrecondition("shard has no replica");
   MutexLock lock(&mu_);
   replica_ = std::make_unique<ShardStore>(spec_, options_);
   replica_log_ = Translog();
@@ -124,6 +123,7 @@ Status ReplicatedShard::ResetReplica() {
 }
 
 Result<uint64_t> ReplicatedShard::Apply(const WriteOp& op) {
+  if (!has_replica_) return primary_->Apply(op);
   MutexLock lock(&mu_);
   ESDB_ASSIGN_OR_RETURN(uint64_t seq, primary_->Apply(op));
   if (mode_ == ReplicationMode::kLogical) {
@@ -140,6 +140,11 @@ Result<uint64_t> ReplicatedShard::Apply(const WriteOp& op) {
 }
 
 Status ReplicatedShard::Refresh() {
+  if (!has_replica_) {
+    primary_->Refresh();
+    primary_->MaybeMerge();
+    return Status::OK();
+  }
   MutexLock lock(&mu_);
   if (mode_ == ReplicationMode::kLogical) {
     primary_->Refresh();
@@ -192,6 +197,7 @@ Status ReplicatedShard::Refresh() {
 }
 
 Result<std::unique_ptr<ShardStore>> ReplicatedShard::Failover() && {
+  if (!has_replica_) return Status::FailedPrecondition("shard has no replica");
   MutexLock lock(&mu_);
   if (mode_ == ReplicationMode::kLogical) {
     // The logical replica is already an independent, current store.

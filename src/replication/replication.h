@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/mutex.h"
@@ -54,22 +55,22 @@ struct ReplicationStats {
 [[nodiscard]] Result<ReplicationStats> ReplicateRound(const ShardStore& primary,
                                         ShardStore* replica);
 
-// Primary shard + one replica under a chosen replication mode. The
-// write path mirrors the paper: the op is executed on the primary and
-// appended to the replica's translog in real time; under logical
-// replication the replica also executes it, under physical
-// replication segment files flow on Refresh().
+// Primary shard + an optional replica under a chosen replication
+// mode. The write path mirrors the paper: the op is executed on the
+// primary and appended to the replica's translog in real time; under
+// logical replication the replica also executes it, under physical
+// replication segment files flow on Refresh(). A replica-less shard
+// is a plain store: Apply and Refresh go straight to the primary, and
+// ResetReplica and Failover return FailedPrecondition.
 class ReplicatedShard {
  public:
+  // `replication` nullopt builds a replica-less shard. A null
+  // `primary` starts from an empty store; a given one (e.g. a
+  // just-promoted replica) is wrapped as the primary with a fresh,
+  // empty replica that the next Refresh() fills in a full round.
   ReplicatedShard(const IndexSpec* spec, ShardStore::Options options,
-                  ReplicationMode mode);
-
-  // Wraps an existing store (e.g. a just-promoted replica) as the
-  // primary, with a fresh, empty replica; the next Refresh() performs
-  // the initial full replication round.
-  ReplicatedShard(const IndexSpec* spec, ShardStore::Options options,
-                  ReplicationMode mode,
-                  std::unique_ptr<ShardStore> primary);
+                  std::optional<ReplicationMode> replication,
+                  std::unique_ptr<ShardStore> primary = nullptr);
 
   // Discards the replica (its node failed) and starts an empty one;
   // the next Refresh() re-copies every segment. Writes between now
@@ -79,7 +80,7 @@ class ReplicatedShard {
   // missing from the replica forever, surfacing only at failover.
   [[nodiscard]] Status ResetReplica();
 
-  ReplicationMode mode() const { return mode_; }
+  bool has_replica() const { return has_replica_; }
   ShardStore* primary() { return primary_.get(); }
   const ShardStore* primary() const { return primary_.get(); }
   ShardStore* replica() { return replica_.get(); }
@@ -92,8 +93,8 @@ class ReplicatedShard {
   // bookkeeping.
   [[nodiscard]] Result<uint64_t> Apply(const WriteOp& op);
 
-  // Refresh primary (buffer -> segment). Physical mode then runs one
-  // quick-incremental replication round; a merge on the primary
+  // Refresh primary (buffer -> segment) and merge. Physical mode then
+  // runs one quick-incremental replication round; a merge on the primary
   // triggers pre-replication of the merged segment before the next
   // regular round would pick it up.
   [[nodiscard]] Status Refresh();
@@ -120,7 +121,10 @@ class ReplicatedShard {
  private:
   const IndexSpec* spec_;
   ShardStore::Options options_;  // lint:unguarded(set in the constructor, read-only afterwards)
-  ReplicationMode mode_;  // lint:unguarded(set in the constructor, read-only afterwards)
+  const ReplicationMode mode_;
+  // Fixed at construction, so the replica-less data path reads it
+  // without mu_.
+  const bool has_replica_;
   // Single writer per replicated shard: Apply/Refresh/ResetReplica/
   // Failover serialize here, and the replication bookkeeping below is
   // guarded by it. mu_ is held while calling into the primary's and

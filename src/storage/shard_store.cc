@@ -3,16 +3,24 @@
 #include <algorithm>
 
 #include "common/failpoint.h"
-#include "storage/block_cache.h"
 #include "storage/cold_segment.h"
 
 namespace esdb {
+
+namespace {
+
+uint64_t NextStoreUid() {
+  static std::atomic<uint64_t> next{uint64_t(1) << 32};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
 
 ShardStore::ShardStore(const IndexSpec* spec, Options options)
     : spec_(spec),
       options_(options),
       segments_(std::make_shared<const ShardView>()),
-      store_uid_(BlockCache::NewOwnerId()) {}
+      store_uid_(NextStoreUid()) {}
 
 void ShardStore::PublishSegments(ShardView next) {
   // Allocate the new epoch before taking the publication lock so the

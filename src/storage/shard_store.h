@@ -246,6 +246,12 @@ class ShardStore {
   // snapshot after a replication round).
   void RetainSegments(const std::vector<uint64_t>& live_ids);
 
+  // Process-unique, fixed at construction: names this store's spill
+  // files and is the filter-cache domain of its segments (segment ids
+  // are store-local). Uids start above the 32-bit shard-id range, so
+  // they never alias a cache domain that is a shard id.
+  uint64_t uid() const { return store_uid_; }
+
   uint64_t next_segment_id() const {
     MutexLock lock(&write_mu_);
     return next_segment_id_;
@@ -320,8 +326,7 @@ class ShardStore {
   // Target tier from the monitor (relaxed: a stale read only delays a
   // transition by one merge round).
   std::atomic<bool> tier_cold_{false};
-  // Process-unique uid disambiguating spill file names when many
-  // shards share one spill_dir.
+  // See uid().
   const uint64_t store_uid_;
 };
 

@@ -163,15 +163,7 @@ QueryResult ReferenceShardResult(const Query& query,
   StableSortMatches(query, &matches);
   if (cap >= 0 && int64_t(matches.size()) > cap) matches.resize(size_t(cap));
   for (Match& m : matches) {
-    if (query.select_columns.empty()) {
-      out.rows.push_back(std::move(m.stored));
-      continue;
-    }
-    Document projected;
-    for (const std::string& col : query.select_columns) {
-      projected.Set(col, m.stored.Get(col));
-    }
-    out.rows.push_back(std::move(projected));
+    out.rows.push_back(ReferenceProject(query, std::move(m.stored)));
   }
   return out;
 }
@@ -363,6 +355,11 @@ TEST_F(BatchExecutorTest, FixedQueryShapes) {
       "SELECT record_id, amount, mixed FROM t WHERE flag = 1 ORDER BY amount "
       "DESC LIMIT 9 OFFSET 2",
       "SELECT title, no_such_column FROM t WHERE status = 3",
+      // Projection of sub-attributes, the ones WHERE and ORDER BY read.
+      "SELECT record_id, attributes.attr2, attributes.activity FROM t WHERE "
+      "attributes.attr2 = 'v3'",
+      "SELECT attributes.activity, attributes.no_such_key FROM t WHERE "
+      "flag = 0 ORDER BY attributes.activity, record_id LIMIT 15",
       // LIMIT without ORDER BY: the shard stops early.
       "SELECT * FROM t WHERE ratio >= 10.0 LIMIT 9",
   };

@@ -1,16 +1,21 @@
 #include <gtest/gtest.h>
 
-#include "cluster/distributed.h"
+#include <atomic>
+#include <string>
+#include <thread>
+
+#include "cluster/esdb.h"
 #include "common/random.h"
 
 namespace esdb {
 namespace {
 
-DistributedEsdb::Options SmallCluster() {
-  DistributedEsdb::Options options;
+Esdb::Options SmallCluster() {
+  Esdb::Options options;
   options.num_shards = 16;
   options.routing = RoutingKind::kDynamic;
   options.store.refresh_doc_count = 0;
+  options.with_replicas = true;
   return options;
 }
 
@@ -27,7 +32,7 @@ Document MakeLog(int64_t tenant, int64_t record, int64_t time,
 class DistributedTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_ = std::make_unique<DistributedEsdb>(SmallCluster());
+    db_ = std::make_unique<Esdb>(SmallCluster());
     for (NodeId node = 1; node <= 4; ++node) {
       ASSERT_TRUE(db_->AddNode(node).ok());
     }
@@ -43,17 +48,41 @@ class DistributedTest : public ::testing::Test {
     return r->agg_count;
   }
 
-  std::unique_ptr<DistributedEsdb> db_;
+  std::unique_ptr<Esdb> db_;
 };
 
 TEST(DistributedBasics, NotReadyWithoutTwoNodes) {
-  DistributedEsdb db(SmallCluster());
-  EXPECT_FALSE(db.Insert(MakeLog(1, 1, 1)).ok());
+  Esdb db(SmallCluster());
   ASSERT_TRUE(db.AddNode(1).ok());
   EXPECT_FALSE(db.Insert(MakeLog(1, 1, 1)).ok());
   ASSERT_TRUE(db.AddNode(2).ok());
   EXPECT_TRUE(db.Insert(MakeLog(1, 1, 1)).ok());
   EXPECT_TRUE(db.ready());
+}
+
+TEST(DistributedBasics, NoNodeEsdbAcceptsWorkAtOnce) {
+  Esdb db(SmallCluster());
+  EXPECT_EQ(db.num_nodes(), 0u);
+  EXPECT_FALSE(db.ready());
+  EXPECT_EQ(db.PrimaryNodeOf(0), 0u);
+  ASSERT_TRUE(db.Insert(MakeLog(1, 1, 1)).ok());
+  db.RefreshAll();
+  auto count = db.ExecuteSql("SELECT COUNT(*) FROM t WHERE tenant_id = 1");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->agg_count, 1u);
+  // Without nodes there is nothing to fail over or migrate to.
+  EXPECT_EQ(db.FailNode(1).code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(db.StartMigration(0, 1).ok());
+  EXPECT_EQ(db.MaybeMigrate(), 0u);
+}
+
+TEST(DistributedBasics, AddNodeNeedsReplicas) {
+  Esdb::Options options = SmallCluster();
+  options.with_replicas = false;
+  Esdb db(options);
+  EXPECT_EQ(db.AddNode(1).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(db.num_nodes(), 0u);
+  EXPECT_TRUE(db.Insert(MakeLog(1, 1, 1)).ok());
 }
 
 TEST_F(DistributedTest, QueriesWork) {
@@ -175,11 +204,89 @@ TEST_F(DistributedTest, RebalanceDuringFailures) {
   EXPECT_EQ(Count("tenant_id = 1"), 120u);  // replaced, not duplicated
 }
 
+// The paper's loop on a 4-node cluster: the hot tenant's share of
+// writes grows window by window, and RunBalanceCycle alone (no rule
+// injected by hand) raises its secondary-hashing offset from 1 to 8.
+// A second writer keeps writing while each cycle commits its rule and
+// while a migration of the hot tenant's first shard copies and cuts
+// over. After every step, COUNT(*) equals the acknowledged writes.
+TEST(DistributedBalancing, BalanceCyclesSplitHotTenantAcrossCutover) {
+  constexpr int64_t kHot = 1;
+  Esdb::Options options = SmallCluster();
+  options.balancer.target_share_per_shard = 0.1;
+  options.balancer.max_offset = 8;
+  Esdb db(options);
+  for (NodeId node = 1; node <= 4; ++node) ASSERT_TRUE(db.AddNode(node).ok());
+
+  // Record ids double as creation times, so every write after a
+  // cycle's effective time routes by the rule it committed.
+  std::atomic<int64_t> next{0};
+  std::atomic<uint64_t> hot_acked{0}, all_acked{0};
+  // Writes n docs, every 20 of them `hot_in_20` for the hot tenant and
+  // the rest spread over 20 cold tenants.
+  const auto write = [&](int n, int hot_in_20) {
+    for (int i = 0; i < n; ++i) {
+      const int64_t id = next.fetch_add(1);
+      const bool hot = i % 20 < hot_in_20;
+      const int64_t tenant = hot ? kHot : 2 + id % 20;
+      if (!db.Insert(MakeLog(tenant, id, id)).ok()) return;
+      if (hot) ++hot_acked;
+      ++all_acked;
+    }
+  };
+  const auto expect_counts = [&](const std::string& step) {
+    db.RefreshAll();
+    auto hot = db.ExecuteSql("SELECT COUNT(*) FROM t WHERE tenant_id = 1");
+    auto all = db.ExecuteSql("SELECT COUNT(*) FROM t");
+    ASSERT_TRUE(hot.ok() && all.ok()) << step;
+    EXPECT_EQ(hot->agg_count, hot_acked.load()) << step;
+    EXPECT_EQ(all->agg_count, all_acked.load()) << step;
+  };
+  const auto max_offset = [&] {
+    return db.dynamic_routing()->PinRules()->MaxOffset(kHot);
+  };
+
+  // Hot shares 0.15, 0.30, 0.70: offsets 2, 4, 8 at a 0.1 target.
+  const int hot_in_20[] = {3, 6, 14};
+  const uint32_t expected_offset[] = {2, 4, 8};
+  EXPECT_EQ(max_offset(), 1u);
+  for (int window = 0; window < 3; ++window) {
+    const std::string step = "window " + std::to_string(window);
+    write(400, hot_in_20[window]);
+    std::thread in_flight(write, 40, hot_in_20[window]);
+    const size_t committed = db.RunBalanceCycle(next.load() + 1);
+    in_flight.join();
+    EXPECT_EQ(committed, 1u) << step;
+    EXPECT_EQ(max_offset(), expected_offset[window]) << step;
+    expect_counts(step);
+    if (HasFatalFailure()) return;
+
+    if (window != 1) continue;
+    // Offset 4: migrate the hot tenant's first shard with writes in
+    // flight through the copy and the cutover.
+    const ShardId shard = db.routing().RouteRead(kHot).front();
+    const NodeId to = db.PrimaryNodeOf(shard) == 1 ? 2 : 1;
+    ASSERT_TRUE(db.StartMigration(shard, to).ok());
+    std::thread copying(write, 40, hot_in_20[window]);
+    ASSERT_TRUE(db.migrator()->Drive(shard).ok());
+    copying.join();
+    expect_counts("copying");
+    std::thread cutover(write, 40, hot_in_20[window]);
+    EXPECT_EQ(db.DriveMigrations(), 1u);
+    cutover.join();
+    EXPECT_EQ(db.MigrationPhaseOf(shard), MigrationPhase::kDone);
+    EXPECT_EQ(db.PrimaryNodeOf(shard), to);
+    expect_counts("after cutover");
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GE(max_offset(), 4u);
+}
+
 // Property: a random storm of writes, refreshes, failures and joins
 // never loses an acknowledged, refreshed write.
 TEST(DistributedProperty, ChurnNeverLosesRefreshedWrites) {
   Rng rng(2024);
-  DistributedEsdb db(SmallCluster());
+  Esdb db(SmallCluster());
   NodeId next_node = 1;
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(db.AddNode(next_node++).ok());
 

@@ -4,6 +4,7 @@
 
 #include "cluster/esdb.h"
 #include "cluster/write_client.h"
+#include "document/json.h"
 #include "common/random.h"
 
 namespace esdb {
@@ -48,6 +49,42 @@ TEST(EsdbTest, InsertQueryRoundTrip) {
     EXPECT_EQ(row.Get("status").as_int(), 1);
   }
   EXPECT_GT(result->rows.size(), 0u);
+}
+
+// A selected "attributes.<key>" column projects the sub-attribute that
+// WHERE matched on, not null.
+TEST(EsdbTest, ProjectsSubAttributeColumns) {
+  Esdb db(SmallCluster(RoutingKind::kDynamic));
+  for (int64_t i = 0; i < 40; ++i) {
+    Document doc = MakeLog(1 + i % 2, i, i);
+    doc.Set(kFieldAttributes,
+            Value(EncodeAttributes({{"attr0", i % 4 < 2 ? "v11" : "v7"},
+                                    {"attr1", std::to_string(100 + i)}})));
+    ASSERT_TRUE(db.Insert(std::move(doc)).ok());
+  }
+  db.RefreshAll();
+  auto result = db.ExecuteSql(
+      "SELECT record_id, attributes.attr0 FROM t WHERE tenant_id = 1 AND "
+      "attributes.attr0 = 'v11' LIMIT 2");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 2u);
+  for (const Document& row : result->rows) {
+    EXPECT_EQ(row.Get("attributes.attr0"), Value("v11")) << ToJson(row);
+    EXPECT_TRUE(row.Get(kFieldRecordId).is_int()) << ToJson(row);
+  }
+  // Sorted by the sub-attribute it projects; a key no row has
+  // projects as null.
+  result = db.ExecuteSql(
+      "SELECT record_id, attributes.attr1, attributes.nope FROM t WHERE "
+      "tenant_id = 2 ORDER BY attributes.attr1 LIMIT 3");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 3u);
+  for (const Document& row : result->rows) {
+    EXPECT_EQ(row.Get("attributes.attr1"),
+              Value(std::to_string(100 + row.Get(kFieldRecordId).as_int())))
+        << ToJson(row);
+    EXPECT_TRUE(row.Get("attributes.nope").is_null()) << ToJson(row);
+  }
 }
 
 TEST(EsdbTest, TenantScopedQueryTouchesRouteReadShards) {

@@ -1,9 +1,12 @@
-// Cross-front-end identity: Esdb and DistributedEsdb run every query
-// through the one QueryCoordinator, so with the same shard count,
-// routing rules and write stream they must return the same rows,
-// groups, aggregates and match counts for every query class — before
-// a live migration, in the middle of one, after its cutover, and
-// after a node failure promotes replicas.
+// Configuration identity: a no-node Esdb and a 4-node Esdb with
+// replicas run every query through the one QueryCoordinator, so with
+// the same shard count, routing rules and write stream they must
+// return the same rows, groups, aggregates and match counts for every
+// query class — before a live migration, in the middle of one, after
+// its cutover, and after a node failure promotes replicas. Both run
+// with the filter cache; the cluster side runs every query twice, so
+// the second run is served from the cache across each of those
+// rebinds.
 //
 // Both sides refresh at the same points. ORDER BY _score does not
 // depend on segment layout (BM25 statistics are per pinned shard
@@ -18,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/distributed.h"
 #include "cluster/esdb.h"
 
 namespace esdb {
@@ -104,13 +106,14 @@ class FrontEndIdentityTest : public ::testing::Test {
     twin_options.store.refresh_doc_count = 0;
     twin_ = std::make_unique<Esdb>(std::move(twin_options));
 
-    DistributedEsdb::Options cluster_options;
+    Esdb::Options cluster_options;
     cluster_options.num_shards = kShards;
     cluster_options.routing = RoutingKind::kDynamic;
     cluster_options.store.refresh_doc_count = 0;
+    cluster_options.with_replicas = true;
     // One segment per copy step, so a migration rests in Copying.
     cluster_options.migration.copy_batch_segments = 1;
-    cluster_ = std::make_unique<DistributedEsdb>(std::move(cluster_options));
+    cluster_ = std::make_unique<Esdb>(std::move(cluster_options));
     for (NodeId node = 1; node <= 4; ++node) {
       ASSERT_TRUE(cluster_->AddNode(node).ok());
     }
@@ -141,18 +144,26 @@ class FrontEndIdentityTest : public ::testing::Test {
 
   void ExpectSameAnswers(const std::string& when) {
     size_t non_empty = 0;
+    uint64_t second_run_hits = 0;
     for (const std::string& sql : Queries()) {
       auto a = twin_->ExecuteSql(sql);
       auto b = cluster_->ExecuteSql(sql);
       ASSERT_TRUE(a.ok()) << sql << ": " << a.status().ToString();
       ASSERT_TRUE(b.ok()) << sql << ": " << b.status().ToString();
       ExpectSameResult(*a, *b, when + ": " + sql);
+      // Again, now from the candidates the first run cached.
+      const uint64_t hits = cluster_->filter_cache()->hits();
+      auto cached = cluster_->ExecuteSql(sql);
+      second_run_hits += cluster_->filter_cache()->hits() - hits;
+      ASSERT_TRUE(cached.ok()) << sql << ": " << cached.status().ToString();
+      ExpectSameResult(*a, *cached, when + " (cached): " + sql);
       if (!a->rows.empty() || !a->groups.empty() || a->agg_count > 0) {
         ++non_empty;
       }
     }
     // Every query has something to compare.
     EXPECT_EQ(non_empty, Queries().size()) << when;
+    EXPECT_GT(second_run_hits, 0u) << when;
   }
 
   void ExpectSameDml(const std::string& sql) {
@@ -176,7 +187,7 @@ class FrontEndIdentityTest : public ::testing::Test {
   }
 
   std::unique_ptr<Esdb> twin_;
-  std::unique_ptr<DistributedEsdb> cluster_;
+  std::unique_ptr<Esdb> cluster_;
 };
 
 TEST_F(FrontEndIdentityTest, SameAnswersAcrossMigrationAndFailover) {

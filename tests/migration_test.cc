@@ -1,6 +1,6 @@
 // Live shard migration (DESIGN.md §13): the per-shard state machine
 // Idle -> Copying -> DualWrite -> CutOver -> Done/Aborted, driven on
-// a real DistributedEsdb cluster. The headline properties:
+// a real multi-node Esdb cluster. The headline properties:
 //
 //  * reader-visible row counts never change across any state-machine
 //    step, including the cutover swap itself;
@@ -24,18 +24,19 @@
 #include <string>
 #include <vector>
 
-#include "cluster/distributed.h"
+#include "cluster/esdb.h"
 #include "common/failpoint.h"
 #include "common/random.h"
 
 namespace esdb {
 namespace {
 
-DistributedEsdb::Options SmallCluster() {
-  DistributedEsdb::Options options;
+Esdb::Options SmallCluster() {
+  Esdb::Options options;
   options.num_shards = 16;
   options.routing = RoutingKind::kDynamic;
   options.store.refresh_doc_count = 0;
+  options.with_replicas = true;
   return options;
 }
 
@@ -76,7 +77,7 @@ void ExpectSameLiveSet(const ShardStore& a, const ShardStore& b,
 class MigrationTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_ = std::make_unique<DistributedEsdb>(SmallCluster());
+    db_ = std::make_unique<Esdb>(SmallCluster());
     for (NodeId node = 1; node <= 4; ++node) {
       ASSERT_TRUE(db_->AddNode(node).ok());
     }
@@ -116,7 +117,7 @@ class MigrationTest : public ::testing::Test {
     return from;
   }
 
-  std::unique_ptr<DistributedEsdb> db_;
+  std::unique_ptr<Esdb> db_;
 };
 
 TEST(MigrationPhaseNames, CoverEveryPhase) {
@@ -316,10 +317,11 @@ TEST_F(MigrationTest, FailNodeRightAfterCutoverLosesNothing) {
 class MigrationVisibilityTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    DistributedEsdb::Options options;
+    Esdb::Options options;
     options.num_shards = 4;
     options.store.refresh_doc_count = 0;
-    db_ = std::make_unique<DistributedEsdb>(options);
+    options.with_replicas = true;
+    db_ = std::make_unique<Esdb>(options);
     for (NodeId node = 1; node <= 3; ++node) {
       ASSERT_TRUE(db_->AddNode(node).ok());
     }
@@ -349,7 +351,7 @@ class MigrationVisibilityTest : public ::testing::Test {
     return r.ok() ? r->agg_count : 0;
   }
 
-  std::unique_ptr<DistributedEsdb> db_;
+  std::unique_ptr<Esdb> db_;
   ShardId shard_ = 0;
 };
 
@@ -584,9 +586,9 @@ TEST(MigrationFuzzer, RandomMigrationsNeverLoseAcknowledgedWrites) {
                  std::to_string(seed));
     Rng rng(seed);
 
-    DistributedEsdb::Options options = SmallCluster();
+    Esdb::Options options = SmallCluster();
     options.num_shards = 8;
-    DistributedEsdb db(options);
+    Esdb db(options);
     uint32_t alive = 4 + uint32_t(rng.Uniform(3));  // 4..6 nodes
     for (NodeId node = 1; node <= alive; ++node) {
       ASSERT_TRUE(db.AddNode(node).ok());

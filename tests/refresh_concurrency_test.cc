@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/distributed.h"
 #include "cluster/esdb.h"
 
 namespace esdb {
@@ -301,19 +300,21 @@ TEST(RefreshConcurrencyTest, BalanceCycleVsWritesAndQueries) {
   EXPECT_EQ(all->agg_count, uint64_t(kRounds * kBatch));
 }
 
-// DistributedEsdb::RefreshAll fans out the refresh+replication rounds
-// the same way; node-level doc placement must match the serial run.
+// A multi-node cluster's RefreshAll fans out the refresh+replication
+// rounds the same way; node-level doc placement must match the serial
+// run.
 TEST(RefreshConcurrencyTest, DistributedParallelRefreshMatchesSerial) {
-  DistributedEsdb::Options base;
+  Esdb::Options base;
   base.num_shards = 16;
   base.routing = RoutingKind::kHash;
   base.store.refresh_doc_count = 0;
+  base.with_replicas = true;
 
-  DistributedEsdb serial(base);
-  DistributedEsdb::Options par = base;
+  Esdb serial(base);
+  Esdb::Options par = base;
   par.maintenance_threads = 4;
-  DistributedEsdb parallel(par);
-  for (DistributedEsdb* db : {&serial, &parallel}) {
+  Esdb parallel(par);
+  for (Esdb* db : {&serial, &parallel}) {
     ASSERT_TRUE(db->AddNode(NodeId(1)).ok());
     ASSERT_TRUE(db->AddNode(NodeId(2)).ok());
   }

@@ -103,6 +103,19 @@ inline void ReferenceFoldDocument(const Query& query, const Document& doc,
   }
 }
 
+// SELECT-column projection of one matched document (the document
+// itself for SELECT *). Columns resolve through ReferenceFieldValue,
+// as WHERE and ORDER BY do, so "attributes.<key>" projects the
+// sub-attribute.
+inline Document ReferenceProject(const Query& query, Document doc) {
+  if (query.select_columns.empty()) return doc;
+  Document projected;
+  for (const std::string& col : query.select_columns) {
+    projected.Set(col, ReferenceFieldValue(doc, col));
+  }
+  return projected;
+}
+
 // Merges one shard's folded answer into `merged`; shards merge in
 // fan-out order, as the coordinator merges them.
 inline void ReferenceMergeShard(const QueryResult& shard,

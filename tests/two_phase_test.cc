@@ -165,15 +165,7 @@ Reference ReferenceRows(const Esdb& db, const Query& query) {
     matches.resize(size_t(query.limit));
   }
   for (Document& doc : matches) {
-    if (query.select_columns.empty()) {
-      out.rows.push_back(std::move(doc));
-      continue;
-    }
-    Document projected;
-    for (const std::string& col : query.select_columns) {
-      projected.Set(col, doc.Get(col));
-    }
-    out.rows.push_back(std::move(projected));
+    out.rows.push_back(ReferenceProject(query, std::move(doc)));
   }
   return out;
 }

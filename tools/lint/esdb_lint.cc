@@ -4,7 +4,10 @@
 //   esdb_lint [--format=human|json] [--check=<name>[,<name>...]] <src-root>
 //
 // Checks: layer-dag raw-primitive lock-order failpoint-registry
-//         guarded-member  (default: all)
+//         guarded-member plan-node-sync single-coordinator
+//         (default: all). single-coordinator keeps the executor entry
+//         points inside cluster/query_coordinator.cc, the one query
+//         path of the one cluster front-end (Esdb).
 
 #include <cstdio>
 #include <cstring>
@@ -27,7 +30,10 @@ int Usage(const char* argv0) {
                "<src-root>\n"
                "checks: layer-dag raw-primitive lock-order "
                "failpoint-registry guarded-member plan-node-sync "
-               "single-coordinator\n",
+               "single-coordinator\n"
+               "  single-coordinator: only cluster/query_coordinator.cc "
+               "calls the executor entry points (Esdb's one query "
+               "path)\n",
                argv0);
   return 2;
 }

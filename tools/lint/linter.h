@@ -51,9 +51,10 @@
 //   single-coordinator  Only cluster/query_coordinator.cc may call the
 //                       executor entry points ExecuteOnShard,
 //                       ExecuteQueryPhase, ExecuteFetchPhase and
-//                       AggregateResults: both cluster front-ends
-//                       (Esdb, DistributedEsdb) run queries through
-//                       that one coordinator, so a second fan-out loop
+//                       AggregateResults: the one cluster front-end
+//                       (Esdb, with or without nodes) runs every
+//                       query, EXPLAIN and DML selection through that
+//                       one coordinator, so a second fan-out loop
 //                       cannot drift from it. Declarations and
 //                       definitions (a return type precedes the name)
 //                       are not calls.
