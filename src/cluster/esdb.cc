@@ -200,14 +200,19 @@ Status Esdb::Apply(const WriteOp& op) {
   if (tier_admission_ != nullptr) tier_admission_->RecordWrite(shard);
   // Every write funnels through the migrator so an active migration
   // sees the shard's exact acknowledged op stream (queue or mirror);
-  // for an idle shard this is a plain source apply.
-  const auto t0 = std::chrono::steady_clock::now();
+  // for an idle shard this is a plain source apply. Shard heat feeds
+  // only MaybeMigrate, which needs placed nodes: a node-less cluster
+  // records none.
+  using Clock = std::chrono::steady_clock;
+  const bool placed = allocator_.allocated();
+  const Clock::time_point t0 = placed ? Clock::now() : Clock::time_point();
   auto seq = migrator_->Apply(shard, op);
-  const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-  heat_.RecordWrite(shard);
-  heat_.RecordProcessing(shard, uint64_t(micros));
+  if (placed) {
+    const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
+        Clock::now() - t0);
+    heat_.RecordWrite(shard);
+    heat_.RecordProcessing(shard, uint64_t(micros.count()));
+  }
   return seq.ok() ? Status::OK() : seq.status();
 }
 

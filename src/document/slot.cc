@@ -1,6 +1,23 @@
 #include "document/slot.h"
 
+#include <cmath>
+#include <limits>
+
 namespace esdb {
+
+namespace {
+
+// DoubleOrderBits of the positive quiet NaN, the one encoding of every
+// NaN: above +inf.
+constexpr uint64_t kNanOrderBits = 0xfff8000000000000ull;
+
+void AppendBigEndian(std::string* out, uint64_t v) {
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    out->push_back(char((v >> shift) & 0xff));
+  }
+}
+
+}  // namespace
 
 Value SlotToValue(const TypedSlot& slot) {
   switch (slot.tag) {
@@ -18,32 +35,24 @@ Value SlotToValue(const TypedSlot& slot) {
   return Value::Null();
 }
 
-TypedSlot SlotOf(const Value& v) {
-  switch (v.type()) {
-    case Value::Type::kNull:
-      return TypedSlot::Nothing();
-    case Value::Type::kBool:
-      return TypedSlot{SlotTag::kBool, v.as_bool() ? 1u : 0u};
-    case Value::Type::kInt:
-      return TypedSlot{SlotTag::kInt, uint64_t(v.as_int())};
-    case Value::Type::kDouble: {
-      TypedSlot slot{SlotTag::kDouble, 0};
-      const double d = v.as_double();
-      std::memcpy(&slot.payload, &d, sizeof(d));
-      return slot;
-    }
-    case Value::Type::kString:
-      return TypedSlot{SlotTag::kString,
-                       uint64_t(uintptr_t(&v.as_string()))};
-  }
-  return TypedSlot::Nothing();
+int CompareIntDouble(int64_t i, double d) {
+  if (std::isnan(d) || d >= 0x1p63) return -1;
+  if (d < -0x1p63) return 1;
+  // |d| < 2^63: its integral part converts to int64 exactly.
+  const double whole = std::trunc(d);
+  const int64_t w = int64_t(whole);
+  if (i != w) return i < w ? -1 : 1;
+  return d > whole ? -1 : (d < whole ? 1 : 0);
+}
+
+double DoubleAtOrBelow(int64_t i, bool* exact) {
+  const double d = double(i);  // nearest; -2^63 <= d <= 2^63
+  *exact = d < 0x1p63 && int64_t(d) == i;
+  if (*exact || (d < 0x1p63 && int64_t(d) < i)) return d;
+  return std::nextafter(d, -std::numeric_limits<double>::infinity());
 }
 
 std::string EncodeSortable(const TypedSlot& slot) {
-  // Layout: 1 type-rank byte, then a type-specific order-preserving
-  // payload. Numerics (int and double) share rank 2 and are both
-  // encoded via the IEEE-754 total-order trick on double so that
-  // cross-type numeric comparisons order correctly.
   std::string out;
   out.push_back(char('0' + SlotRank(slot.tag)));
   switch (slot.tag) {
@@ -52,21 +61,19 @@ std::string EncodeSortable(const TypedSlot& slot) {
     case SlotTag::kBool:
       out.push_back(slot.as_bool() ? '\x01' : '\x00');
       break;
-    case SlotTag::kInt:
-    case SlotTag::kDouble: {
-      const double d = slot.NumericValue();
-      uint64_t bits;
-      std::memcpy(&bits, &d, sizeof(bits));
-      // Flip so that byte-lexicographic order == numeric order:
-      // negative doubles invert all bits, positive flip the sign bit.
-      if (bits & 0x8000000000000000ull) {
-        bits = ~bits;
-      } else {
-        bits |= 0x8000000000000000ull;
+    case SlotTag::kInt: {
+      bool exact = false;
+      const double d = DoubleAtOrBelow(slot.as_int(), &exact);
+      AppendBigEndian(&out, DoubleOrderBits(d));
+      if (!exact) {
+        AppendBigEndian(&out, uint64_t(slot.as_int()) - uint64_t(int64_t(d)));
       }
-      char be[8];
-      for (int i = 0; i < 8; ++i) be[i] = char((bits >> (56 - 8 * i)) & 0xff);
-      out.append(be, sizeof(be));
+      break;
+    }
+    case SlotTag::kDouble: {
+      const double d = slot.as_double();
+      AppendBigEndian(&out, std::isnan(d) ? kNanOrderBits
+                                          : DoubleOrderBits(d == 0 ? 0.0 : d));
       break;
     }
     case SlotTag::kString:

@@ -3,55 +3,13 @@
 #include "common/varint.h"
 #include "document/slot.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 
 namespace esdb {
 
-int Value::TypeRank() const {
-  switch (type()) {
-    case Type::kNull:
-      return 0;
-    case Type::kBool:
-      return 1;
-    case Type::kInt:
-    case Type::kDouble:
-      return 2;
-    case Type::kString:
-      return 3;
-  }
-  return 4;
-}
-
 int Value::Compare(const Value& other) const {
-  const int ra = TypeRank();
-  const int rb = other.TypeRank();
-  if (ra != rb) return ra < rb ? -1 : 1;
-  switch (type()) {
-    case Type::kNull:
-      return 0;
-    case Type::kBool: {
-      const int a = as_bool() ? 1 : 0;
-      const int b = other.as_bool() ? 1 : 0;
-      return a - b;
-    }
-    case Type::kInt:
-    case Type::kDouble: {
-      // Compare exactly when both are ints; otherwise via double.
-      if (is_int() && other.is_int()) {
-        const int64_t a = as_int();
-        const int64_t b = other.as_int();
-        return a < b ? -1 : (a > b ? 1 : 0);
-      }
-      const double a = NumericValue();
-      const double b = other.NumericValue();
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
-    case Type::kString:
-      return as_string().compare(other.as_string());
-  }
-  return 0;
+  return CompareSlots(SlotOf(*this), SlotOf(other));
 }
 
 std::string Value::ToString() const {

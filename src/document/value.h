@@ -36,14 +36,16 @@ class Value {
   const std::string& as_string() const { return std::get<std::string>(data_); }
 
   // Numeric coercion: ints widen to double; bool/strings are not
-  // coerced (caller checks is_numeric()).
+  // coerced (caller checks is_numeric()). For sums; the order below
+  // never rounds through double.
   double NumericValue() const {
     return is_int() ? double(as_int()) : as_double();
   }
 
-  // Total ordering used by indexes and ORDER BY:
-  // null < bool < numeric < string; numerics compare by value across
-  // int/double. Returns <0, 0, >0.
+  // The total order of values (defined in document/slot.h, where
+  // CompareSlots implements it): null < bool < numeric < string;
+  // numerics by exact value across int/double, -0.0 == 0.0, and every
+  // NaN one value above +inf. Returns <0, 0, >0.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
@@ -52,8 +54,9 @@ class Value {
   // Display form ("null", "true", "42", "3.5", raw string).
   std::string ToString() const;
 
-  // Order-preserving key encoding used by range/composite indexes:
-  // lexicographic byte order of the encoding matches Compare().
+  // Order-preserving key encoding used by term and composite indexes:
+  // the byte order of two encodings is Compare()'s order, and
+  // compare-equal values encode to equal bytes (layout in slot.h).
   std::string EncodeSortable() const;
 
   // Compact tagged binary round-trip (not order-preserving), used by
@@ -62,8 +65,6 @@ class Value {
   static bool DecodeFrom(std::string_view data, size_t* pos, Value* out);
 
  private:
-  int TypeRank() const;
-
   std::variant<std::monostate, bool, int64_t, double, std::string> data_;
 };
 

@@ -1,7 +1,5 @@
 #include "query/batch/aggregate.h"
 
-#include <cmath>
-
 #include "query/executor.h"
 
 namespace esdb {
@@ -37,12 +35,6 @@ GroupStats* Aggregator::Lookup(const TypedSlot& key) {
 }
 
 GroupStats* Aggregator::Group(const TypedSlot& key) {
-  if (key.tag == SlotTag::kDouble) {
-    const double d = key.as_double();
-    if (std::isnan(d)) return Lookup(key);
-    if (!(std::fabs(d) < 0x1p53)) per_doc_lookups_ = true;
-  }
-  if (per_doc_lookups_) return Lookup(key);
   if (key.tag == SlotTag::kString) {
     const std::string& s = key.as_string();
     auto it = strings_.find(std::string_view(s));

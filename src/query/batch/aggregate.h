@@ -34,19 +34,12 @@ namespace batch {
 // after its scan). The table lives as long as the shard's fold:
 // result->groups never drops or re-keys an entry, so a cached pointer
 // stays the answer a fresh lookup would give. Several slots may share
-// one GroupStats (5 and 5.0, -0.0 and 0.0), exactly as the map
-// lookups they replace would have. Docs fold in candidate order with
-// the same count/sum/min/max rules, so the representative key, double
-// sums and min/max ties are unchanged by construction.
-//
-// Caching a lookup is only sound while Value::Compare is a strict
-// weak order over the keys met, so two kinds of double key skip the
-// table. A NaN key compares equal to every number: it is looked up per
-// doc (it becomes a key only while no number is one, and then every
-// number finds it, so cached numeric pointers stay right). A key of
-// magnitude >= 2^53, where int-vs-double comparison stops being
-// transitive, switches the rest of the shard's fold to per-doc
-// lookups.
+// one GroupStats (5 and 5.0, -0.0 and 0.0, two NaN payloads), exactly
+// as the map lookups they replace would have: the value order is total
+// (document/slot.h), so one key always finds one group. Docs fold in
+// candidate order with the same count/sum/min/max rules, so the
+// representative key, double sums and min/max ties are unchanged by
+// construction.
 class Aggregator {
  public:
   Aggregator(const Query& query, QueryResult* result, ExecStats* stats);
@@ -89,7 +82,6 @@ class Aggregator {
   std::unordered_map<TypedSlot, GroupStats*, ScalarHash, ScalarEq> scalars_;
   std::unordered_map<std::string, GroupStats*, StringHash, std::equal_to<>>
       strings_;
-  bool per_doc_lookups_ = false;
 };
 
 }  // namespace batch

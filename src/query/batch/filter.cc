@@ -1,6 +1,7 @@
 #include "query/batch/filter.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -29,25 +30,76 @@ SlotSource SlotSource::Resolve(const Segment& segment,
 
 namespace {
 
-bool AllInt(const std::vector<Value>& args) {
-  for (const Value& a : args) {
-    if (!a.is_int()) return false;
-  }
-  return !args.empty();
+// --- Bound translation ----------------------------------------------------
+//
+// A fast path compares in its column's own domain: int64 for an
+// all-int column, and for an all-double column the order key below.
+// Both domains have 2^64 elements, addressed by position (0 = least);
+// a literal of any type cuts a domain into the elements below it,
+// equal to it and above it, and a predicate keeps one run of
+// positions. Translating the literal once, by the value order, is what
+// lets the loops compare one type.
+
+// A position in a 2^64-element domain, or kEnd just past it.
+using Pos = unsigned __int128;
+constexpr Pos kEnd = Pos(1) << 64;
+
+// The elements equal to a literal are the positions [ge, gt).
+struct Cut {
+  Pos ge, gt;
+};
+
+// An int's position: offset binary, so unsigned order is int order.
+uint64_t IntPos(int64_t i) { return uint64_t(i) ^ 0x8000000000000000ull; }
+
+// A double's order key: DoubleOrderBits rotated so that -inf is 0 and
+// the NaNs of both signs form one run at the top, above +inf. -0.0 and
+// 0.0 are adjacent keys, which every cut of a zero covers together.
+constexpr uint64_t kKeyOffset = 0x000fffffffffffffull;  // bits of -inf
+uint64_t OrderKey(double d) { return DoubleOrderBits(d) - kKeyOffset; }
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The cut of a numeric literal in each domain. Null and bool sit below
+// every number and strings above, so Specialize cuts those at 0 and at
+// kEnd.
+Cut IntCut(const Value& v) {
+  if (v.is_int()) return {IntPos(v.as_int()), Pos(IntPos(v.as_int())) + 1};
+  const double d = v.as_double();
+  if (std::isnan(d) || d >= 0x1p63) return {kEnd, kEnd};
+  if (d < -0x1p63) return {0, 0};
+  const double up = std::ceil(d);  // < 2^63: doubles there are whole
+  const Pos p = IntPos(int64_t(up));
+  return {p, up == d ? p + 1 : p};
 }
 
-bool AllNumeric(const std::vector<Value>& args) {
-  for (const Value& a : args) {
-    if (!a.is_numeric()) return false;
+Cut DoubleCut(const Value& v) {
+  if (v.is_int()) {
+    bool exact = false;
+    const double d = DoubleAtOrBelow(v.as_int(), &exact);
+    if (exact) return DoubleCut(Value(d));
+    const Pos p = Pos(OrderKey(d)) + 1;
+    return {p, p};
   }
-  return !args.empty();
+  const double d = v.as_double();
+  if (std::isnan(d)) return {Pos(OrderKey(kInf)) + 1, kEnd};
+  if (d == 0) return {OrderKey(-0.0), Pos(OrderKey(0.0)) + 1};
+  return {OrderKey(d), Pos(OrderKey(d)) + 1};
 }
 
-bool AllDouble(const std::vector<Value>& args) {
-  for (const Value& a : args) {
-    if (!a.is_double()) return false;
+// Keeps the ids whose value's position lies in [lo, hi] (or outside it,
+// when `neg`): the one loop of both range fast paths.
+template <auto Position, typename T>
+size_t KeepRange(const T* data, uint64_t lo, uint64_t hi, bool neg,
+                 DocId* ids, size_t n) {
+  size_t out = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const DocId id = ids[i];
+    const uint64_t p = Position(data[id]);
+    const bool in = (p >= lo) & (p <= hi);
+    ids[out] = id;
+    out += size_t(in != neg);
   }
-  return !args.empty();
+  return out;
 }
 
 }  // namespace
@@ -73,121 +125,61 @@ FilterProgram::FilterProgram(const Segment& segment,
   }
 }
 
-// Picks the specialized loop for one step. Fast paths must replicate
-// Value::Compare bit-for-bit, which constrains them:
-//  - int column vs int args compares exactly (int64), so IntRange
-//    only applies when ALL args are ints (a mixed kBetween would
-//    compare one bound exactly and one as double);
-//  - any double operand compares as double, including the
-//    NaN-compares-equal quirk of Value::Compare (a<b?-1:(a>b?1:0)
-//    yields 0 for NaN pairs) — the DoubleRange loop therefore tests
-//    with negated comparisons (!(x < lo)) instead of (x >= lo) so
-//    NaN columns and NaN bounds behave exactly as Predicate::Eval.
+// Picks the specialized loop for one step: its literals become one
+// run of positions in the column's domain.
 void FilterProgram::Specialize(Step* s) {
   if (s->source.column == nullptr) return;  // sidecar reads stay generic
   const SlotTag utag = s->source.column->uniform_tag();
+  if (utag != SlotTag::kInt && utag != SlotTag::kDouble) return;
+  const bool ints = utag == SlotTag::kInt;
   const Predicate& p = *s->pred;
   const std::vector<Value>& args = p.args;
-  constexpr int64_t kIntMin = std::numeric_limits<int64_t>::min();
-  constexpr int64_t kIntMax = std::numeric_limits<int64_t>::max();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto cut = [ints](const Value& v) -> Cut {
+    if (!v.is_numeric()) return v.is_string() ? Cut{kEnd, kEnd} : Cut{0, 0};
+    return ints ? IntCut(v) : DoubleCut(v);
+  };
 
-  if (utag == SlotTag::kInt && AllInt(args)) {
-    if (p.op == PredOp::kIn) {
-      s->in_set.reserve(args.size());
-      for (const Value& a : args) s->in_set.push_back(a.as_int());
-      std::sort(s->in_set.begin(), s->in_set.end());
-      s->fast = Fast::kIntIn;
-      return;
+  if (p.op == PredOp::kIn) {
+    if (!ints) return;
+    for (const Value& a : args) {
+      const Cut c = cut(a);
+      if (c.ge < c.gt) s->in_set.push_back(uint64_t(c.ge));
     }
-    const auto empty_range = [s] { s->ilo = 1; s->ihi = 0; };
-    switch (p.op) {
-      case PredOp::kEq:
-        if (args.size() != 1) return;
-        s->ilo = s->ihi = args[0].as_int();
-        break;
-      case PredOp::kLt:
-        if (args.size() != 1) return;
-        s->ilo = kIntMin;
-        if (args[0].as_int() == kIntMin) {
-          empty_range();  // nothing is < INT64_MIN
-        } else {
-          s->ihi = args[0].as_int() - 1;
-        }
-        break;
-      case PredOp::kLe:
-        if (args.size() != 1) return;
-        s->ilo = kIntMin;
-        s->ihi = args[0].as_int();
-        break;
-      case PredOp::kGt:
-        if (args.size() != 1) return;
-        s->ihi = kIntMax;
-        if (args[0].as_int() == kIntMax) {
-          empty_range();
-        } else {
-          s->ilo = args[0].as_int() + 1;
-        }
-        break;
-      case PredOp::kGe:
-        if (args.size() != 1) return;
-        s->ilo = args[0].as_int();
-        s->ihi = kIntMax;
-        break;
-      case PredOp::kBetween:
-        if (args.size() != 2) return;
-        s->ilo = args[0].as_int();
-        s->ihi = args[1].as_int();
-        break;
-      default:
-        return;  // kNe, string/null ops: generic
-    }
-    s->fast = Fast::kIntRange;
+    std::sort(s->in_set.begin(), s->in_set.end());
+    s->fast = Fast::kIntIn;
     return;
   }
-
-  // Double compare path: a uniformly-double column against numeric
-  // args (Value::Compare always compares these as doubles), or a
-  // uniformly-int column against all-double args (ditto).
-  const bool double_compare = (utag == SlotTag::kDouble && AllNumeric(args)) ||
-                              (utag == SlotTag::kInt && AllDouble(args));
-  if (!double_compare) return;
-  s->dlo = -kInf;
-  s->dhi = kInf;
-  s->dlo_incl = s->dhi_incl = true;
+  const size_t arity = p.op == PredOp::kBetween ? 2 : 1;
+  if (args.size() != arity) return;
+  Pos lo = 0, hi = kEnd;  // kept positions: [lo, hi)
   switch (p.op) {
     case PredOp::kEq:
-      if (args.size() != 1) return;
-      s->dlo = s->dhi = args[0].NumericValue();
+      lo = cut(args[0]).ge;
+      hi = cut(args[0]).gt;
       break;
     case PredOp::kLt:
-      if (args.size() != 1) return;
-      s->dhi = args[0].NumericValue();
-      s->dhi_incl = false;
+      hi = cut(args[0]).ge;
       break;
     case PredOp::kLe:
-      if (args.size() != 1) return;
-      s->dhi = args[0].NumericValue();
+      hi = cut(args[0]).gt;
       break;
     case PredOp::kGt:
-      if (args.size() != 1) return;
-      s->dlo = args[0].NumericValue();
-      s->dlo_incl = false;
+      lo = cut(args[0]).gt;
       break;
     case PredOp::kGe:
-      if (args.size() != 1) return;
-      s->dlo = args[0].NumericValue();
+      lo = cut(args[0]).ge;
       break;
     case PredOp::kBetween:
-      if (args.size() != 2) return;
-      s->dlo = args[0].NumericValue();
-      s->dhi = args[1].NumericValue();
+      lo = cut(args[0]).ge;
+      hi = cut(args[1]).gt;
       break;
     default:
-      return;
+      return;  // kNe, string/null ops: generic
   }
-  s->src_is_int = (utag == SlotTag::kInt);
-  s->fast = Fast::kDoubleRange;
+  if (lo >= hi) lo = hi = 1;  // keeps nothing: first 1 > last 0
+  s->lo = uint64_t(lo);
+  s->hi = uint64_t(hi - 1);
+  s->fast = ints ? Fast::kIntRange : Fast::kDoubleRange;
 }
 
 size_t FilterProgram::EvalBatch(DocId* ids, size_t n) const {
@@ -196,56 +188,23 @@ size_t FilterProgram::EvalBatch(DocId* ids, size_t n) const {
     const bool neg = s.negated;
     size_t out = 0;
     switch (s.fast) {
-      case Fast::kIntRange: {
-        const int64_t* data = s.source.column->int64_data();
-        const int64_t lo = s.ilo, hi = s.ihi;
-        for (size_t i = 0; i < n; ++i) {
-          const DocId id = ids[i];
-          const int64_t x = data[id];
-          const bool in = (x >= lo) & (x <= hi);
-          ids[out] = id;
-          out += size_t(in != neg);
-        }
+      case Fast::kIntRange:
+        out = KeepRange<IntPos>(s.source.column->int64_data(), s.lo, s.hi,
+                                neg, ids, n);
         break;
-      }
+      case Fast::kDoubleRange:
+        out = KeepRange<OrderKey>(s.source.column->double_data(), s.lo, s.hi,
+                                  neg, ids, n);
+        break;
       case Fast::kIntIn: {
         const int64_t* data = s.source.column->int64_data();
-        const int64_t* set = s.in_set.data();
-        const int64_t* set_end = set + s.in_set.size();
+        const uint64_t* set = s.in_set.data();
+        const uint64_t* set_end = set + s.in_set.size();
         for (size_t i = 0; i < n; ++i) {
           const DocId id = ids[i];
-          const bool in = std::binary_search(set, set_end, data[id]);
+          const bool in = std::binary_search(set, set_end, IntPos(data[id]));
           ids[out] = id;
           out += size_t(in != neg);
-        }
-        break;
-      }
-      case Fast::kDoubleRange: {
-        const bool lo_incl = s.dlo_incl, hi_incl = s.dhi_incl;
-        const double lo = s.dlo, hi = s.dhi;
-        // Negated comparisons, NOT (x >= lo && x <= hi): this is what
-        // keeps NaN operands byte-identical to Value::Compare.
-        const auto in_range = [lo, hi, lo_incl, hi_incl](double x) {
-          const bool lo_ok = lo_incl ? !(x < lo) : (x > lo);
-          const bool hi_ok = hi_incl ? !(x > hi) : (x < hi);
-          return lo_ok && hi_ok;
-        };
-        if (s.src_is_int) {
-          const int64_t* data = s.source.column->int64_data();
-          for (size_t i = 0; i < n; ++i) {
-            const DocId id = ids[i];
-            const bool in = in_range(double(data[id]));
-            ids[out] = id;
-            out += size_t(in != neg);
-          }
-        } else {
-          const double* data = s.source.column->double_data();
-          for (size_t i = 0; i < n; ++i) {
-            const DocId id = ids[i];
-            const bool in = in_range(data[id]);
-            ids[out] = id;
-            out += size_t(in != neg);
-          }
         }
         break;
       }

@@ -48,11 +48,13 @@ struct SlotSource {
 };
 
 // A compiled filter conjunction for one segment: per predicate, the
-// resolved slot source plus a specialization picked up front —
-// int64/double range loops over the column's raw payload array when
-// the column is uniformly typed (the SIMD-friendly path), an interned
-// IN set, a constant verdict for missing fields, or the generic
-// slot evaluator. Evaluation is batch-at-a-time: each step compacts
+// resolved slot source plus a specialization picked up front — an
+// int64 range or IN-set loop over an all-int column, an order-key
+// range loop over an all-double column, a constant verdict for missing
+// fields, or the generic slot evaluator. A fast path's bounds are the
+// predicate's literals translated once into the column's own domain by
+// the value order (document/slot.h), whatever their type, so each loop
+// compares one type. Evaluation is batch-at-a-time: each step compacts
 // the selection vector in place, and the whole batch short-circuits
 // when it empties.
 class FilterProgram {
@@ -70,21 +72,20 @@ class FilterProgram {
  private:
   enum class Fast : uint8_t {
     kGeneric,      // per-slot EvalPredSlot
-    kIntRange,     // uniform int64 column, [ilo, ihi] inclusive
-    kIntIn,        // uniform int64 column, sorted IN set
-    kDoubleRange,  // uniform numeric column, (dlo, dhi) with incl flags
+    kIntRange,     // all-int column, positions in [lo, hi]
+    kIntIn,        // all-int column, positions in a sorted IN set
+    kDoubleRange,  // all-double column, order keys in [lo, hi]
   };
 
+  // A fast path compares positions in the column's domain (filter.cc):
+  // an int's offset-binary bits, or a double's order key.
   struct Step {
     const Predicate* pred = nullptr;
     bool negated = false;
     SlotSource source;
     Fast fast = Fast::kGeneric;
-    int64_t ilo = 0, ihi = 0;         // kIntRange, inclusive
-    double dlo = 0, dhi = 0;          // kDoubleRange bounds
-    bool dlo_incl = true, dhi_incl = true;
-    bool src_is_int = false;          // kDoubleRange over an int column
-    std::vector<int64_t> in_set;      // kIntIn, sorted
+    uint64_t lo = 0, hi = 0;       // range paths, inclusive
+    std::vector<uint64_t> in_set;  // kIntIn, sorted
   };
 
   static void Specialize(Step* s);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "query/executor.h"
+#include "query/optimizer.h"
 
 namespace esdb {
 
@@ -81,23 +82,20 @@ const std::vector<std::string>* CompositeColumns(const IndexSpec& spec,
 double EstimateFilterFraction(const StatsView& stats, const FilterPred& f) {
   if (f.negated) return 1.0;
   const Predicate& p = f.pred;
-  auto enc = [](const Value& v) { return v.EncodeSortable(); };
   switch (p.op) {
     case PredOp::kEq:
       return stats.EqFraction(p.column);
     case PredOp::kIn:
       return std::min(1.0, double(p.args.size()) * stats.EqFraction(p.column));
     case PredOp::kLt:
-      return stats.RangeFraction(p.column, "", enc(p.args[0]));
     case PredOp::kLe:
-      return stats.RangeFraction(p.column, "", enc(p.args[0]) + '\0');
     case PredOp::kGt:
-      return stats.RangeFraction(p.column, enc(p.args[0]) + '\0', "\xff");
     case PredOp::kGe:
-      return stats.RangeFraction(p.column, enc(p.args[0]), "\xff");
-    case PredOp::kBetween:
-      return stats.RangeFraction(p.column, enc(p.args[0]),
-                                 enc(p.args[1]) + '\0');
+    case PredOp::kBetween: {
+      std::string lo, hi;
+      TermBounds(p, &lo, &hi);
+      return stats.RangeFraction(p.column, lo, hi);
+    }
     default:
       return 1.0;  // kNe, kLike, kMatch, null tests: no sketch shape fits
   }

@@ -33,37 +33,6 @@ std::unique_ptr<PlanNode> MakeFilterScan(Predicate pred, bool negated) {
   return node;
 }
 
-// Encoded-term range bounds for a range predicate ([lo, hi) in byte
-// order). Exclusive lower bounds append '\0' (the smallest
-// extension); inclusive upper bounds do the same on hi.
-void TermBounds(const Predicate& p, std::string* lo, std::string* hi) {
-  auto enc = [](const Value& v) { return v.EncodeSortable(); };
-  switch (p.op) {
-    case PredOp::kLt:
-      lo->clear();
-      *hi = enc(p.args[0]);
-      break;
-    case PredOp::kLe:
-      lo->clear();
-      *hi = enc(p.args[0]) + '\0';
-      break;
-    case PredOp::kGt:
-      *lo = enc(p.args[0]) + '\0';
-      hi->assign(1, '\xff');
-      break;
-    case PredOp::kGe:
-      *lo = enc(p.args[0]);
-      hi->assign(1, '\xff');
-      break;
-    case PredOp::kBetween:
-      *lo = enc(p.args[0]);
-      *hi = enc(p.args[1]) + '\0';
-      break;
-    default:
-      break;
-  }
-}
-
 // Plans one predicate as a standalone node (used for OR branches and
 // leftover AND conjuncts). May produce a FullScan+filter fallback.
 std::unique_ptr<PlanNode> PlanPredicateLeaf(const Predicate& p,
@@ -330,6 +299,34 @@ std::unique_ptr<PlanNode> PlanExpr(const Expr& e, const IndexSpec& spec,
 }
 
 }  // namespace
+
+void TermBounds(const Predicate& p, std::string* lo, std::string* hi) {
+  auto enc = [](const Value& v) { return v.EncodeSortable(); };
+  switch (p.op) {
+    case PredOp::kLt:
+      lo->clear();
+      *hi = enc(p.args[0]);
+      break;
+    case PredOp::kLe:
+      lo->clear();
+      *hi = enc(p.args[0]) + '\0';
+      break;
+    case PredOp::kGt:
+      *lo = enc(p.args[0]) + '\0';
+      hi->assign(1, '\xff');
+      break;
+    case PredOp::kGe:
+      *lo = enc(p.args[0]);
+      hi->assign(1, '\xff');
+      break;
+    case PredOp::kBetween:
+      *lo = enc(p.args[0]);
+      *hi = enc(p.args[1]) + '\0';
+      break;
+    default:
+      break;
+  }
+}
 
 std::unique_ptr<PlanNode> PlanWhere(const Expr* where, const IndexSpec& spec,
                                     const PlannerOptions& options) {

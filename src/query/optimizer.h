@@ -2,6 +2,7 @@
 #define ESDB_QUERY_OPTIMIZER_H_
 
 #include <memory>
+#include <string>
 
 #include "query/ast.h"
 #include "query/plan.h"
@@ -36,6 +37,12 @@ struct PlannerOptions {
 // shape is handled.
 std::unique_ptr<PlanNode> PlanWhere(const Expr* where, const IndexSpec& spec,
                                     const PlannerOptions& options);
+
+// The encoded-term range [lo, hi) (EncodeSortable byte order) that a
+// range predicate (kLt, kLe, kGt, kGe, kBetween) keeps. An exclusive
+// lower bound and an inclusive upper bound append '\0', the smallest
+// extension; an open upper bound is "\xff", above every rank byte.
+void TermBounds(const Predicate& p, std::string* lo, std::string* hi);
 
 }  // namespace esdb
 

@@ -20,13 +20,14 @@ class DocValues;
 // The cost-based transform pass (query/cost.h) consumes these to pick
 // access paths and to answer MIN/MAX/COUNT without touching postings.
 //
-// min/max are maintained with the same strict-Compare, doc-order rule
-// as the executor's aggregate fold, so a stats-only MIN/MAX answer is
-// byte-identical to the scanning plan's (first doc-order occurrence
-// wins among compare-equal values). `sum` is the doc-order double sum
-// WITHIN this segment; cross-segment addition order differs from a
-// single sequential scan, so the planner never answers SUM/AVG from
-// stats (float addition is not associative).
+// min/max follow the value order (document/slot.h) with the same
+// strict-compare, doc-order rule as the executor's aggregate fold, so
+// a stats-only MIN/MAX answer is byte-identical to the scanning plan's
+// (first doc-order occurrence wins among compare-equal values), and
+// the histogram's byte order is that same order. `sum` is the
+// doc-order double sum WITHIN this segment; cross-segment addition
+// order differs from a single sequential scan, so the planner never
+// answers SUM/AVG from stats (float addition is not associative).
 struct ColumnSketch {
   uint64_t non_null = 0;       // docs with a non-null value
   uint64_t numeric_count = 0;  // docs with an int/double value
@@ -50,9 +51,9 @@ struct ColumnSketch {
 };
 
 // All column sketches of one segment, keyed by field name. Serialized
-// in the segment encoding (optional trailer, see segment.cc) so that
+// in the segment encoding (mandatory trailer, see segment.cc) so that
 // decode — including cold-tier pins and checkpoint restores — never
-// rescans columns; old files without the trailer rebuild via Build().
+// rescans columns.
 class ColumnStats {
  public:
   static constexpr size_t kHistogramBuckets = 8;

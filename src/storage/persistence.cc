@@ -17,10 +17,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// v3 adds the per-segment tier flag and inline overlay bitmaps for
-// cold entries. v2 manifests (all-hot) are still readable.
-constexpr char kManifestMagic[] = "ESDBSHARD3";
-constexpr char kManifestMagicV2[] = "ESDBSHARD2";
+// Manifest format v4. The magic names the format of every file the
+// manifest lists as well: segment files whose index terms and sketch
+// bytes follow the value order of document/slot.h (one encoding per
+// value: -0.0 and NaN canonical, ints past 2^53 exact) and end with
+// the column-stats trailer, and cold files holding such segments. A
+// manifest with any other magic is rejected; no older format is read.
+constexpr char kManifestMagic[] = "ESDBSHARD4";
 
 std::string SegmentFileName(uint64_t id, uint64_t num_deleted) {
   return "seg-" + std::to_string(id) + "-" + std::to_string(num_deleted) +
@@ -264,13 +267,8 @@ Result<std::unique_ptr<ShardStore>> OpenShard(const IndexSpec* spec,
   ESDB_ASSIGN_OR_RETURN(std::string manifest,
                         ReadFile(fs::path(dir) / "MANIFEST"));
   const size_t magic_len = sizeof(kManifestMagic) - 1;
-  bool v2 = false;
   if (manifest.compare(0, magic_len, kManifestMagic) != 0) {
-    if (manifest.compare(0, magic_len, kManifestMagicV2) == 0) {
-      v2 = true;  // pre-tiering manifest: every segment is hot
-    } else {
-      return Status::Corruption("bad shard manifest magic");
-    }
+    return Status::Corruption("bad shard manifest magic");
   }
   size_t pos = magic_len;
   uint64_t next_segment_id = 0, refreshed_seq = 0, num_segments = 0;
@@ -291,7 +289,7 @@ Result<std::unique_ptr<ShardStore>> OpenShard(const IndexSpec* spec,
     uint64_t id = 0, num_deleted = 0, tier = 0;
     if (!GetVarint64(manifest, &pos, &id) ||
         !GetVarint64(manifest, &pos, &num_deleted) ||
-        (!v2 && !GetVarint64(manifest, &pos, &tier))) {
+        !GetVarint64(manifest, &pos, &tier)) {
       return Status::Corruption("truncated shard manifest segment list");
     }
     if (tier != 0) {
@@ -329,6 +327,9 @@ Result<std::unique_ptr<ShardStore>> OpenShard(const IndexSpec* spec,
     if (!segment.ok()) return segment.status();
     store->InstallSegment(std::move(*segment), std::move(tombstones));
     ++local.segments_loaded;
+  }
+  if (pos != manifest.size()) {
+    return Status::Corruption("shard manifest: trailing bytes");
   }
   store->set_next_segment_id(next_segment_id);
 

@@ -177,10 +177,9 @@ Result<std::string> SegmentView::EncodeFull() const {
 //   varint  #record-id-entries, per entry: varint zigzag(record), varint doc
 //   deleted bitmap: num_docs bits, padded to bytes (the caller-
 //   supplied tombstone overlay; zeros when none)
-//   column-stats trailer (ColumnStats encoding) — OPTIONAL: files
-//   written before the trailer existed end at the bitmap; decode
-//   rebuilds the sketches from doc values in that case (read-compat
-//   version bump without a format flag: presence = trailing bytes)
+//   column-stats trailer (ColumnStats encoding), mandatory: decode
+//   rejects a file that ends anywhere before the trailer's last byte
+//   or runs past it
 
 void Segment::EncodeIndexSectionsTo(std::string* out) const {
   PutVarint64(out, inverted_.size());
@@ -279,19 +278,10 @@ Result<std::unique_ptr<Segment>> Segment::Decode(
       if (byte & (1u << b)) deleted[i + b] = true;
     }
   }
-  if (pos == data.size()) {
-    // Pre-trailer file: rebuild the sketches from the decoded columns
-    // (same deterministic result as freeze time).
-    seg->column_stats_ =
-        std::make_unique<ColumnStats>(ColumnStats::Build(*seg->doc_values_));
-  } else {
-    auto stats = std::make_unique<ColumnStats>();
-    ESDB_RETURN_IF_ERROR(ColumnStats::DecodeFrom(data, &pos, stats.get()));
-    if (pos != data.size()) {
-      return Status::Corruption("segment: trailing bytes");
-    }
-    seg->column_stats_ = std::move(stats);
-  }
+  auto stats = std::make_unique<ColumnStats>();
+  ESDB_RETURN_IF_ERROR(ColumnStats::DecodeFrom(data, &pos, stats.get()));
+  if (pos != data.size()) return Status::Corruption("segment: trailing bytes");
+  seg->column_stats_ = std::move(stats);
   if (tombstones != nullptr) {
     *tombstones = Tombstones::FromBits(std::move(deleted));
   }
@@ -375,7 +365,7 @@ Status Segment::DecodeIndexSections(std::string_view data, size_t* posp) {
 // Index-part format: the segment file minus stored docs and delete
 // bitmap —
 //   varint id, varint num_docs, then the shared index sections, then
-//   the same optional column-stats trailer as the full file (so a
+//   the same mandatory column-stats trailer as the full file (so a
 //   pinned cold index part serves plan-time statistics without a
 //   column rescan).
 
@@ -400,17 +390,12 @@ Result<std::unique_ptr<Segment>> Segment::DecodeIndexPart(
   seg->id_ = id;
   seg->num_docs_ = uint32_t(num_docs);
   ESDB_RETURN_IF_ERROR(seg->DecodeIndexSections(data, &pos));
-  if (pos == data.size()) {
-    seg->column_stats_ =
-        std::make_unique<ColumnStats>(ColumnStats::Build(*seg->doc_values_));
-  } else {
-    auto stats = std::make_unique<ColumnStats>();
-    ESDB_RETURN_IF_ERROR(ColumnStats::DecodeFrom(data, &pos, stats.get()));
-    if (pos != data.size()) {
-      return Status::Corruption("segment: trailing index-part bytes");
-    }
-    seg->column_stats_ = std::move(stats);
+  auto stats = std::make_unique<ColumnStats>();
+  ESDB_RETURN_IF_ERROR(ColumnStats::DecodeFrom(data, &pos, stats.get()));
+  if (pos != data.size()) {
+    return Status::Corruption("segment: trailing index-part bytes");
   }
+  seg->column_stats_ = std::move(stats);
   seg->attr_sidecar_ = AttributeSidecar::Build(*seg->doc_values_);
   seg->RecomputeSize();
   return seg;

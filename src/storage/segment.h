@@ -74,9 +74,8 @@ class Segment {
   }
 
   // Per-column sketches computed at freeze time (never null for
-  // built/decoded segments). Serialized as an optional trailer of the
-  // segment / index-part encodings; files written before the trailer
-  // existed rebuild them from doc values at decode time.
+  // built/decoded segments). Serialized as the mandatory trailer of
+  // the segment / index-part encodings.
   const ColumnStats* column_stats() const { return column_stats_.get(); }
 
   // Stored document by local id.
@@ -161,7 +160,7 @@ class Segment {
   std::map<std::string, SortedKeyIndex> composites_;  // name -> index
   std::unique_ptr<DocValues> doc_values_;
   std::unique_ptr<AttributeSidecar> attr_sidecar_;  // derived, not encoded
-  std::unique_ptr<ColumnStats> column_stats_;       // optional trailer
+  std::unique_ptr<ColumnStats> column_stats_;       // encoded trailer
   std::unordered_map<int64_t, DocId> record_ids_;
   size_t size_bytes_ = 0;
 };

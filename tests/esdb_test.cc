@@ -339,6 +339,18 @@ TEST(WriteClientTest, AutoFlushAtBatchSize) {
   EXPECT_EQ(client.applied_ops(), 5u);
 }
 
+// Shard heat feeds only node-placed migration decisions: a node-less
+// cluster records none of it on the write path.
+TEST(EsdbTest, NodelessClusterRecordsNoHeat) {
+  Esdb db(SmallCluster(RoutingKind::kHash));
+  for (int64_t i = 0; i < 64; ++i) {
+    ASSERT_TRUE(db.Insert(MakeLog(1 + i % 4, i, i)).ok());
+  }
+  for (uint32_t s = 0; s < db.num_shards(); ++s) {
+    EXPECT_EQ(db.heat()->Score(ShardId(s)), 0.0) << "shard " << s;
+  }
+}
+
 // Cross-policy equivalence: all three routing policies return the
 // same query results for the same data (placement differs, contents
 // don't).

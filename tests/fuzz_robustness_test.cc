@@ -4,6 +4,12 @@
 // fuzz-ish property tests (fixed seeds, thousands of inputs).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "common/random.h"
 #include "document/document.h"
@@ -11,7 +17,9 @@
 #include "query/dsl.h"
 #include "query/parser.h"
 #include "routing/rule_list.h"
+#include "storage/persistence.h"
 #include "storage/segment.h"
+#include "storage/shard_store.h"
 #include "storage/translog.h"
 
 namespace esdb {
@@ -82,10 +90,63 @@ TEST(FuzzTest, SegmentDecodeNeverCrashes) {
     mutated[rng.Uniform(mutated.size())] = char(rng.Uniform(256));
     (void)Segment::Decode(mutated);
   }
-  // Truncations at every length.
+  // Every strict prefix is rejected: the column-stats trailer is
+  // mandatory, so a file cut anywhere is incomplete.
   for (size_t len = 0; len < valid.size(); ++len) {
-    (void)Segment::Decode(std::string_view(valid).substr(0, len));
+    EXPECT_FALSE(Segment::Decode(std::string_view(valid).substr(0, len)).ok())
+        << "prefix of " << len << " of " << valid.size() << " bytes";
   }
+  EXPECT_TRUE(Segment::Decode(valid).ok());
+}
+
+// The shard MANIFEST decodes strictly: OpenShard rejects every strict
+// prefix of a saved one and a manifest of the previous format (v3),
+// whose segment bytes followed another value order.
+TEST(FuzzTest, ManifestDecodeIsStrict) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("esdb_fuzz_manifest_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+       "_" + std::to_string(::getpid()));
+  IndexSpec spec;
+  ShardStore::Options options;
+  options.refresh_doc_count = 0;
+  ShardStore store(&spec, options);
+  for (int64_t i = 0; i < 12; ++i) {
+    WriteOp op;
+    op.type = OpType::kInsert;
+    op.doc.Set(kFieldTenantId, Value(int64_t(1)));
+    op.doc.Set(kFieldRecordId, Value(i));
+    op.doc.Set(kFieldCreatedTime, Value(i));
+    ASSERT_TRUE(store.Apply(op).ok());
+    if (i % 5 == 4) store.Refresh();  // two segments and a translog tail
+  }
+  ASSERT_TRUE(SaveShard(store, dir.string()).ok());
+  const fs::path manifest_path = dir / "MANIFEST";
+  std::string manifest;
+  {
+    std::ifstream in(manifest_path, std::ios::binary);
+    manifest.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(manifest.compare(0, 10, "ESDBSHARD4"), 0);
+  const auto open_with = [&](std::string_view bytes) {
+    {
+      std::ofstream out(manifest_path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), std::streamsize(bytes.size()));
+    }
+    return OpenShard(&spec, options, dir.string()).ok();
+  };
+  for (size_t len = 0; len < manifest.size(); ++len) {
+    EXPECT_FALSE(open_with(std::string_view(manifest).substr(0, len)))
+        << "prefix of " << len << " of " << manifest.size() << " bytes";
+  }
+  std::string v3 = manifest;
+  v3[9] = '3';
+  EXPECT_FALSE(open_with(v3));
+  EXPECT_TRUE(open_with(manifest));
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 TEST(FuzzTest, WriteOpDecodeNeverCrashes) {
